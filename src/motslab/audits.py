@@ -30,6 +30,8 @@ VIOLATED = "Violated"
 HYPOTHESIS_UNMET = "HypothesisUnmet"
 NOT_APPLICABLE = "NotApplicable"
 
+# default tolerances: max |theta+| of a MOTS, and the most negative lambda1
+# still counted as stable; the audits that use them take them as arguments
 THETA_TOL = 1e-6
 STAB_TOL = 1e-8
 
@@ -78,11 +80,17 @@ def _finish(theorem_id, lhs, rhs, flags, diagnostics, notes="", extras=None,
                        verdict, notes, extras or {})
 
 
-def _lambda1_or_nan(spec):
+def _principal_or_error(spec):
+    """Principal eigenpair of ``spec``, or the error that leaves it undefined."""
     try:
-        return spectra.principal_eigenvalue(spectra.assemble(spec)).lambda1
-    except (UnsupportedOperationError, ValueError):
-        return float("nan")
+        return spectra.principal_eigenvalue(spectra.assemble(spec))
+    except (UnsupportedOperationError, ValueError) as err:
+        return err
+
+
+def _lambda1_or_nan(spec):
+    res = _principal_or_error(spec)
+    return float("nan") if isinstance(res, Exception) else res.lambda1
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +185,8 @@ def audit_hawking_bound(geom, data=None):
 
 
 def audit_cohn_vossen(geom, data=None, truncation_note="",
-                      integrand_override=None, dec_override=None):
+                      integrand_override=None, dec_override=None,
+                      theta_tol=THETA_TOL, stab_tol=STAB_TOL):
     """Cohn-Vossen type bound for complete non-compact stable MOTS:
 
         int (mu + J(N)) dmu <= 2 pi.
@@ -187,17 +196,11 @@ def audit_cohn_vossen(geom, data=None, truncation_note="",
     integral when the integrand is nonnegative).
     """
     max_tp = float(np.max(np.abs(geom.theta_p)))
-    is_mots = max_tp < THETA_TOL
+    is_mots = max_tp < theta_tol
     lam1 = float("nan")
     if is_mots:
-        if geom.grid.topology == grids.SPHERE:
-            spec = spectra.OperatorSpec(spectra.MOTS_L, geom)
-        else:
-            spec = spectra.OperatorSpec(spectra.MOTS_L, geom,
-                                        bc=spectra.BC_ROBIN,
-                                        q_source=spectra.Q_FREE)
-        lam1 = _lambda1_or_nan(spec)
-    stable = is_mots and np.isfinite(lam1) and lam1 >= -STAB_TOL
+        lam1 = _lambda1_or_nan(spectra.mots_spec(geom))
+    stable = is_mots and np.isfinite(lam1) and lam1 >= -stab_tol
 
     dec_field = (np.asarray(dec_override, dtype=float)
                  if dec_override is not None else geom.mu - geom.j_norm)
@@ -221,7 +224,7 @@ def audit_cohn_vossen(geom, data=None, truncation_note="",
 
 
 def audit_growth_bounds(geom, a, c=None, q_field=None, x0_node=0,
-                        R=None, Rprime=None):
+                        R=None, Rprime=None, stab_tol=STAB_TOL):
     """Distance bound and area-growth bound for surfaces with a
     nonnegative operator -Laplace + a K - c (resp. - q).
 
@@ -253,7 +256,7 @@ def audit_growth_bounds(geom, a, c=None, q_field=None, x0_node=0,
         else spectra.BC_ROBIN,
         q_source=spectra.Q_FREE))
     lam1 = float(spectra.symmetric_spectrum(op, 1)[0])
-    flags = [HypothesisFlag("operator_nonnegative", lam1 >= -STAB_TOL, lam1)]
+    flags = [HypothesisFlag("operator_nonnegative", lam1 >= -stab_tol, lam1)]
 
     if q_field is None:
         lhs = intrinsic_diameter(m)
@@ -301,7 +304,7 @@ def compute_G_quantity(geom, data=None):
             - geom.theta_p / (2.0 * geom.theta_m) * geom.G_lmlm)
 
 
-def audit_theorem_481(geom, data=None):
+def audit_theorem_481(geom, data=None, stab_tol=STAB_TOL):
     """Report on the topology consequences of H-stability in the -l_-
     direction: the sign of lambda_1 of the operator
     -Laplace + K + (theta+/2 theta-) |chihat_-|^2 - G(Sigma),
@@ -317,14 +320,13 @@ def audit_theorem_481(geom, data=None):
     lam1 = float(spectra.symmetric_spectrum(op, 1)[0])
 
     min_tm = float(np.min(np.abs(geom.theta_m)))
+    lam1_hstab = _lambda1_or_nan(spectra.OperatorSpec(
+        spectra.HSTAB_MINUS_LMINUS, geom))
     flags = [
         HypothesisFlag("spacetime_extension", True, 1.0),
         HypothesisFlag("theta_minus_nonvanishing", min_tm > 1e-12, min_tm),
-        HypothesisFlag("hstable_lminus_certified",
-                       _lambda1_or_nan(spectra.OperatorSpec(
-                           spectra.HSTAB_MINUS_LMINUS, geom)) >= -STAB_TOL,
-                       _lambda1_or_nan(spectra.OperatorSpec(
-                           spectra.HSTAB_MINUS_LMINUS, geom))),
+        HypothesisFlag("hstable_lminus_certified", lam1_hstab >= -stab_tol,
+                       lam1_hstab),
     ]
     if min_g > 0.0:
         claim = ("consistent with case (1): G >= c > 0, so a complete "
@@ -347,27 +349,29 @@ def audit_theorem_481(geom, data=None):
 # free boundary MOTS estimates
 
 
-def _free_boundary_flags(geom, require_pi_flag=True):
+def _free_boundary_flags(geom, theta_tol, stab_tol):
+    """Hypothesis flags of a free boundary stable MOTS, the largest
+    contact-angle deviation from pi/2, and the principal eigenpair of the
+    Robin MOTS operator L (or the error that leaves it undefined)."""
     b = geom.boundary
     gamma_dev = float(np.max(np.abs(b.gamma - 0.5 * np.pi)))
     max_tp = float(np.max(np.abs(geom.theta_p)))
-    is_mots = max_tp < THETA_TOL
-    lam1 = _lambda1_or_nan(spectra.OperatorSpec(
-        spectra.MOTS_L, geom, bc=spectra.BC_ROBIN, q_source=spectra.Q_FREE))
-    stable = is_mots and np.isfinite(lam1) and lam1 >= -STAB_TOL
+    is_mots = max_tp < theta_tol
+    res_L = _principal_or_error(spectra.mots_spec(geom))
+    lam1 = float("nan") if isinstance(res_L, Exception) else res_L.lambda1
+    stable = is_mots and np.isfinite(lam1) and lam1 >= -stab_tol
+    pi_max = float(np.max(b.Pi_NN))
     flags = [
         HypothesisFlag("is_mots", is_mots, max_tp),
         HypothesisFlag("stable", stable, lam1),
+        HypothesisFlag("Pi_NN_nonpositive", pi_max <= 1e-10, pi_max),
     ]
-    if require_pi_flag:
-        pi_max = float(np.max(b.Pi_NN))
-        flags.append(HypothesisFlag("Pi_NN_nonpositive", pi_max <= 1e-10,
-                                    pi_max))
-    return flags, gamma_dev, lam1
+    return flags, gamma_dev, res_L
 
 
 def audit_I_sigma(geom, data=None, inf_mu_jn_override=None,
-                  inf_boundary_override=None):
+                  inf_boundary_override=None, theta_tol=THETA_TOL,
+                  stab_tol=STAB_TOL):
     """Area-boundary functional bound for free boundary stable MOTS:
 
         I(Sigma) = |Sigma| inf (mu + J(N)) + |dSigma| inf (H_dM - <W, nu>)
@@ -375,13 +379,15 @@ def audit_I_sigma(geom, data=None, inf_mu_jn_override=None,
     """
     if geom.grid.topology != grids.DISK:
         raise TopologyError("I(Sigma) requires a surface with boundary")
-    flags, gamma_dev, lam1 = _free_boundary_flags(geom)
+    flags, gamma_dev, res_L = _free_boundary_flags(geom, theta_tol, stab_tol)
     if gamma_dev > 1e-6:
         return _finish("area-boundary", 0.0, 0.0, flags, [],
                        notes=f"capillary input (max |gamma - pi/2| = "
                              f"{gamma_dev:.2e}); the functional is stated "
                              "for free boundaries",
                        not_applicable=True)
+    if isinstance(res_L, Exception):
+        raise res_L
 
     b = geom.boundary
     inf_mu = (float(inf_mu_jn_override) if inf_mu_jn_override is not None
@@ -398,12 +404,8 @@ def audit_I_sigma(geom, data=None, inf_mu_jn_override=None,
               + boundary_integrate(geom.metric, kappa)) / (2.0 * np.pi)
 
     # equality diagnostics per the rigidity case
-    res_L = spectra.principal_eigenvalue(spectra.assemble(
-        spectra.OperatorSpec(spectra.MOTS_L, geom, bc=spectra.BC_ROBIN,
-                             q_source=spectra.Q_FREE)))
     res_Ls = spectra.principal_eigenvalue(spectra.assemble(
-        spectra.OperatorSpec(spectra.MOTS_LS, geom, bc=spectra.BC_ROBIN,
-                             q_source=spectra.Q_SYMMETRIZED)))
+        spectra.mots_spec(geom, spectra.MOTS_LS)))
     phi = res_L.eigenfunction
     logphi = np.log(np.maximum(phi, 1e-300))
     dlog = np.stack([grids.d_u(geom.grid, logphi, 1.0),
@@ -473,7 +475,8 @@ def audit_index_bounds(genus, boundary_components, index_s, c=None,
 
 
 def audit_diameter(geom, data=None, dec_inf_override=None,
-                   boundary_inf_override=None):
+                   boundary_inf_override=None, theta_tol=THETA_TOL,
+                   stab_tol=STAB_TOL):
     """Diameter and area-boundary estimates for stable free boundary MOTS:
 
         diam <= min(2 pi / sqrt(3 inf (mu - |J|)),
@@ -483,7 +486,7 @@ def audit_diameter(geom, data=None, dec_inf_override=None,
     """
     if geom.grid.topology != grids.DISK:
         raise TopologyError("the diameter estimate requires a disk")
-    flags, gamma_dev, _ = _free_boundary_flags(geom)
+    flags, gamma_dev, _ = _free_boundary_flags(geom, theta_tol, stab_tol)
     flags.insert(0, HypothesisFlag("free_boundary", gamma_dev <= 1e-6,
                                    gamma_dev))
     b = geom.boundary
@@ -544,9 +547,8 @@ def collar_infimum(data, geom, zeta, which="dec", steps=5):
     if which == "dec":
         best = np.inf
         for s in svals:
-            pts = geom.F + s * geom.N
-            mu, J = idata.energy_momentum(data, pts)
-            best = min(best, float(np.min(mu - idata.j_norm(data, pts, J))))
+            jet = idata.evaluate(data, geom.F + s * geom.N)
+            best = min(best, float(np.min(jet.mu - jet.j_norm)))
         return best
     if which == "boundary":
         if geom.boundary is None:
@@ -555,11 +557,9 @@ def collar_infimum(data, geom, zeta, which="dec", steps=5):
         support = geom.chart.support
         best = np.inf
         for s in svals:
-            pts = b.points + s * b.normal
-            data.check_domain(pts)
-            h = support.mean_curvature(pts, data)
-            k3 = data.k(pts)
-            wnu = np.einsum("...ij,...i,...j->...", k3, b.nu, b.normal)
+            jet = idata.evaluate(data, b.points + s * b.normal)
+            h = support.mean_curvature(jet)
+            wnu = np.einsum("...ij,...i,...j->...", jet.k, b.nu, b.normal)
             best = min(best, float(np.min(h - wnu)))
         return best
     raise ValueError(f"unknown collar quantity {which!r}")

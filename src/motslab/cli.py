@@ -190,8 +190,8 @@ def _sample_points(data, n, seed):
 def cmd_constraints(cfg):
     data = idata.resolve(cfg.data)
     pts = _sample_points(data, cfg.samples, cfg.seed)
-    mu, J = idata.energy_momentum(data, pts)
-    jn = idata.j_norm(data, pts, J)
+    jet = idata.evaluate(data, pts)
+    mu, J, jn = jet.mu, jet.J, jet.j_norm
     rows = [(p[0], p[1], p[2], m, j[0], j[1], j[2], n, m - n)
             for p, m, j, n in zip(pts, mu, J, jn)]
     _write_csv(os.path.join(cfg.out, "constraints.csv"),
@@ -276,21 +276,23 @@ def cmd_eigen(cfg):
 
 def _run_audit(cfg, geom, data):
     tid = cfg.theorem
+    tols = {"theta_tol": cfg.theta_tol, "stab_tol": cfg.stab_tol}
     if tid == "cy-estimate":
         return audits.audit_cy_estimate(geom, data)
     if tid == "hawking-bound":
         return audits.audit_hawking_bound(geom, data)
     if tid == "cohn-vossen":
-        return audits.audit_cohn_vossen(geom, data)
+        return audits.audit_cohn_vossen(geom, data, **tols)
     if tid == "growth-bounds":
         qf = np.full(geom.grid.shape, cfg.q) if cfg.q is not None else None
-        return audits.audit_growth_bounds(geom, a=cfg.a, c=cfg.c, q_field=qf)
+        return audits.audit_growth_bounds(geom, a=cfg.a, c=cfg.c, q_field=qf,
+                                          stab_tol=cfg.stab_tol)
     if tid == "g-quantity":
-        return audits.audit_theorem_481(geom, data)
+        return audits.audit_theorem_481(geom, data, stab_tol=cfg.stab_tol)
     if tid == "area-boundary":
-        return audits.audit_I_sigma(geom, data)
+        return audits.audit_I_sigma(geom, data, **tols)
     if tid == "diameter":
-        return audits.audit_diameter(geom, data)
+        return audits.audit_diameter(geom, data, **tols)
     raise ValueError(f"unknown theorem id {cfg.theorem!r}")
 
 
@@ -490,6 +492,7 @@ _DEFAULTS = {
     "genus": 0, "boundary": 1, "index": 1,
     "a": 1.0, "zeta": 0.1, "collar_field": "dec",
     "samples": 200, "seed": 1234,
+    "theta_tol": audits.THETA_TOL, "stab_tol": audits.STAB_TOL,
     "workers": 1,
     "sweep_steps": 2, "sweep_from": 1.0, "sweep_to": 2.0,
     "sweep_command": "surface",
@@ -514,13 +517,8 @@ def finalize_config(args):
         cfg.out = os.environ.get("MOTSLAB_OUT", ".")
     os.makedirs(cfg.out, exist_ok=True)
     for name in ("theta_tol", "stab_tol"):
-        value = getattr(cfg, name, None)
-        if value is not None and value <= 0.0:
+        if getattr(cfg, name) <= 0.0:
             raise ValueError(f"{name} must be positive")
-    if cfg.theta_tol is not None:
-        audits.THETA_TOL = cfg.theta_tol
-    if cfg.stab_tol is not None:
-        audits.STAB_TOL = cfg.stab_tol
     if cfg.sweep_steps is not None and cfg.sweep_steps < 2:
         raise ValueError("sweeps need at least 2 steps")
     return cfg

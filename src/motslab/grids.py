@@ -151,11 +151,6 @@ def d_uu(grid, f, parity=1.0):
     return out
 
 
-def d_uv(grid, f, parity=1.0):
-    """Mixed second derivative, v derivative of the u derivative."""
-    return d_v(grid, d_u(grid, f, parity))
-
-
 def _extend_u(grid, f, parity, width=2):
     """Pad a field with ghost rings across the pole (and across both poles
     for the sphere) using the antipodal continuation. The disk boundary has

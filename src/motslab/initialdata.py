@@ -8,11 +8,16 @@ always derived from the constraint equations
     2 mu = R_g + (tr k)^2 - |k|^2,      J = div(k - (tr k) g),
 
 never supplied by hand, so catalog entries are constraint-consistent by
-construction.
+construction. ``evaluate`` computes the whole ambient jet at a point set
+(g, its inverse and derivatives, k, the Christoffel symbols, Ricci, and the
+constraint-derived mu, J and |J|) and is the single source of (mu, J) for
+every other module.
 
 Index conventions: ``dg[..., m, i, j] = d_m g_ij``,
 ``ddg[..., l, m, i, j] = d_l d_m g_ij``, ``dk[..., m, i, j] = d_m k_ij``.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +35,8 @@ class ZeroExtension:
 
     vacuum = True
 
-    def contract(self, data, x, a, b):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
+    def contract(self, jet, a, b):
+        return np.zeros(jet.x.shape[:-1])
 
 
 class DeSitterExtension:
@@ -45,12 +49,11 @@ class DeSitterExtension:
 
     vacuum = False
 
-    def contract(self, data, x, a, b):
+    def contract(self, jet, a, b):
         at, asp = a
         bt, bsp = b
-        x = np.asarray(x, dtype=float)
-        g = data.g(x)
-        spatial = np.einsum("...ij,...i,...j->...", g,
+        x = jet.x
+        spatial = np.einsum("...ij,...i,...j->...", jet.g,
                             np.broadcast_to(asp, x.shape),
                             np.broadcast_to(bsp, x.shape))
         return -3.0 * (-np.asarray(at) * np.asarray(bt) + spatial)
@@ -91,9 +94,6 @@ class InitialData:
         ok = self.in_domain(np.asarray(x, dtype=float))
         if not np.all(ok):
             raise DomainError(f"point outside domain of {self.name}")
-
-    def ginv(self, x):
-        return np.linalg.inv(self.g(x))
 
 
 def _zeros33(x):
@@ -284,21 +284,48 @@ def resolve(spec):
 # curvature and constraint evaluation
 
 
-def christoffel(data, x):
-    """Christoffel symbols Gamma^i_jk of g at batched points."""
-    ginv = data.ginv(x)
-    dg = data.dg(x)
-    A = (np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg)
-         - dg)
-    return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, A)
+@dataclass(frozen=True)
+class AmbientJet:
+    """The ambient fields of an initial data set at one batched point set.
+
+    ``gam[..., i, j, k] = Gamma^i_jk``, ``dginv[..., m, i, j] = d_m g^ij``,
+    ``dtrk[..., m] = d_m tr k``; ``absk2`` is |k|^2 and ``j_norm`` is |J|_g.
+    """
+
+    x: np.ndarray
+    g: np.ndarray
+    ginv: np.ndarray
+    dg: np.ndarray
+    k: np.ndarray
+    dk: np.ndarray
+    gam: np.ndarray
+    dginv: np.ndarray
+    ric: np.ndarray
+    R: np.ndarray
+    trk: np.ndarray
+    absk2: np.ndarray
+    dtrk: np.ndarray
+    mu: np.ndarray
+    J: np.ndarray
+    j_norm: np.ndarray
 
 
-def ricci(data, x):
-    """Ricci tensor and scalar curvature of g at batched points."""
+def evaluate(data, x):
+    """Evaluate the ambient jet of ``data`` at batched points ``x``.
+
+    Checks the domain once and calls each analytic evaluator once. The
+    energy density mu and momentum density J come from the constraint
+    equations; this is the single source of truth for (mu, J) downstream.
+    """
+    x = np.asarray(x, dtype=float)
+    data.check_domain(x)
     g = data.g(x)
     ginv = np.linalg.inv(g)
     dg = data.dg(x)
     ddg = data.ddg(x)
+    k = data.k(x)
+    dk = data.dk(x)
+
     A = (np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg)
          - dg)
     gam = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, A)
@@ -312,46 +339,21 @@ def ricci(data, x):
            + np.einsum("...iip,...pjk->...jk", gam, gam)
            - np.einsum("...ijp,...pik->...jk", gam, gam))
     scal = np.einsum("...jk,...jk->...", ginv, ric)
-    return ric, scal
-
-
-def energy_momentum(data, x):
-    """Local energy density mu and momentum density covector J from the
-    constraint equations, evaluated with the analytic derivatives.
-
-    This is the single source of truth for (mu, J) downstream.
-    """
-    x = np.asarray(x, dtype=float)
-    data.check_domain(x)
-    g = data.g(x)
-    ginv = np.linalg.inv(g)
-    k = data.k(x)
-    dk = data.dk(x)
-    dg = data.dg(x)
-    _, scal = ricci(data, x)
-    gam = christoffel(data, x)
 
     trk = np.einsum("...ij,...ij->...", ginv, k)
     k2 = np.einsum("...ia,...jb,...ij,...ab->...", ginv, ginv, k, k)
     mu = 0.5 * (scal + trk**2 - k2)
-
-    dginv = -np.einsum("...ia,...mab,...bl->...mil", ginv, dg, ginv)
     dtrk = (np.einsum("...mab,...ab->...m", dginv, k)
             + np.einsum("...ab,...mab->...m", ginv, dk))
     div_k = (np.einsum("...ik,...ikj->...j", ginv, dk)
              - np.einsum("...ik,...lik,...lj->...j", ginv, gam, k)
              - np.einsum("...ik,...lij,...kl->...j", ginv, gam, k))
     J = div_k - dtrk
-    return mu, J
-
-
-def j_norm(data, x, J=None):
-    """Metric norm |J|_g of the momentum density covector."""
-    if J is None:
-        _, J = energy_momentum(data, x)
-    ginv = data.ginv(x)
-    return np.sqrt(np.maximum(np.einsum("...ij,...i,...j->...", ginv, J, J),
-                              0.0))
+    j_norm = np.sqrt(np.maximum(np.einsum("...ij,...i,...j->...", ginv, J, J),
+                                0.0))
+    return AmbientJet(x=x, g=g, ginv=ginv, dg=dg, k=k, dk=dk, gam=gam,
+                      dginv=dginv, ric=ric, R=scal, trk=trk, absk2=k2,
+                      dtrk=dtrk, mu=mu, J=J, j_norm=j_norm)
 
 
 def dec_margin(data, sample_points):
@@ -359,8 +361,8 @@ def dec_margin(data, sample_points):
     pts = np.asarray(sample_points, dtype=float)
     if pts.size == 0:
         raise ValueError("empty sample set")
-    mu, J = energy_momentum(data, pts)
-    return float(np.min(mu - j_norm(data, pts, J)))
+    jet = evaluate(data, pts)
+    return float(np.min(jet.mu - jet.j_norm))
 
 
 # ---------------------------------------------------------------------------

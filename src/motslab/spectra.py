@@ -70,6 +70,16 @@ class OperatorSpec:
                                  "endpoints by 1e-3")
 
 
+def mots_spec(geometry, kind=MOTS_L):
+    """The MOTS operator of ``kind`` (MOTS_L or MOTS_LS) for the surface's
+    topology: closed on the sphere; on the disk, Robin with the free
+    boundary q for L and the symmetrized q for L_s."""
+    if geometry.grid.topology == grids.SPHERE:
+        return OperatorSpec(kind, geometry, bc=BC_CLOSED)
+    return OperatorSpec(kind, geometry, bc=BC_ROBIN,
+                        q_source=Q_SYMMETRIZED if kind == MOTS_LS else Q_FREE)
+
+
 @dataclass
 class OperatorMatrix:
     """Weak-form operator pencil (K, M) with boundary-condition metadata."""
@@ -83,10 +93,6 @@ class OperatorMatrix:
     robin_q: np.ndarray | None
     geometry: surfaces.SurfaceGeometry
     warnings: list = field(default_factory=list)
-
-    def operator_rows(self, vec):
-        """Apply the strong-form operator M^{-1} K to a flat vector."""
-        return self.weak @ vec / self.mass
 
 
 # ---------------------------------------------------------------------------
@@ -445,17 +451,11 @@ def stability_verdict(geometry, kind=MOTS_L, theta_tol=1e-6, tol=1e-8):
     max_tp = float(np.max(np.abs(geometry.theta_p)))
     if kind == MOTS_L and max_tp >= theta_tol:
         raise NotAMOTSError(max_tp, theta_tol)
-    if geometry.grid.topology == grids.SPHERE:
-        spec_L = OperatorSpec(MOTS_L, geometry, bc=BC_CLOSED)
-        spec_Ls = OperatorSpec(MOTS_LS, geometry, bc=BC_CLOSED)
-        q_max = None
-    else:
-        spec_L = OperatorSpec(MOTS_L, geometry, bc=BC_ROBIN, q_source=Q_FREE)
-        spec_Ls = OperatorSpec(MOTS_LS, geometry, bc=BC_ROBIN,
-                               q_source=Q_SYMMETRIZED)
+    q_max = None
+    if geometry.grid.topology != grids.SPHERE:
         q_max = float(np.max(robin_coefficient(geometry, Q_FREE)))
-    res_L = principal_eigenvalue(assemble(spec_L))
-    res_Ls = principal_eigenvalue(assemble(spec_Ls))
+    res_L = principal_eigenvalue(assemble(mots_spec(geometry, MOTS_L)))
+    res_Ls = principal_eigenvalue(assemble(mots_spec(geometry, MOTS_LS)))
     comparison = None
     if q_max is None or q_max <= 0.0:
         comparison = bool(res_L.lambda1 <= res_Ls.lambda1 + 1e-7)

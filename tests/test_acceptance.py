@@ -49,14 +49,14 @@ def test_criterion_1_constraint_auditor():
     for entry in (idata.minkowski_flat(), idata.schwarzschild_isotropic(1.0),
                   idata.schwarzschild_pg(1.0)):
         pts = _sample_points(entry, 200)
-        mu, J = idata.energy_momentum(entry, pts)
-        worst = max(worst, float(np.max(np.abs(mu))),
-                    float(np.max(idata.j_norm(entry, pts, J))))
+        jet = idata.evaluate(entry, pts)
+        worst = max(worst, float(np.max(np.abs(jet.mu))),
+                    float(np.max(jet.j_norm)))
     hyp = idata.hyperboloidal_flat()
     pts = _sample_points(hyp, 200)
-    mu, J = idata.energy_momentum(hyp, pts)
-    mu_err = float(np.max(np.abs(mu - 3.0)))
-    j_err = float(np.max(np.abs(J)))
+    jet = idata.evaluate(hyp, pts)
+    mu_err = float(np.max(np.abs(jet.mu - 3.0)))
+    j_err = float(np.max(np.abs(jet.J)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and mu_err < 1e-8 and j_err < 1e-8 and elapsed < 5.0
     _report(1, ok, f"vacuum max {worst:.2e}, hyperboloidal mu err "

@@ -4,7 +4,7 @@ and equality diagnostics."""
 import numpy as np
 import pytest
 
-from motslab import audits, grids, initialdata as idata, surfaces
+from motslab import audits, grids, initialdata as idata, spectra, surfaces
 from motslab.audits import (
     HOLDS,
     HYPOTHESIS_UNMET,
@@ -205,8 +205,41 @@ def test_theorem_481_report():
     assert "case (1)" in rep.notes
 
 
+def _record_solves(monkeypatch):
+    kinds = []
+    solve = spectra.principal_eigenvalue
+
+    def recorded(opmat, *args, **kwargs):
+        kinds.append(opmat.kind)
+        return solve(opmat, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "principal_eigenvalue", recorded)
+    return kinds
+
+
+def test_theorem_481_solves_once(monkeypatch):
+    kinds = _record_solves(monkeypatch)
+    audit_theorem_481(sphere_geom(1.5, n=16))
+    assert kinds == [spectra.HSTAB_MINUS_LMINUS]
+
+
 # ---------------------------------------------------------------------------
 # I(Sigma) and the diameter estimate
+
+
+def test_I_sigma_solves_each_operator_once(monkeypatch):
+    kinds = _record_solves(monkeypatch)
+    audit_I_sigma(disk_geom(16))
+    assert kinds == [spectra.MOTS_L, spectra.MOTS_LS]
+
+
+def test_I_sigma_raises_when_L_solve_fails(monkeypatch):
+    def fail(opmat, *args, **kwargs):
+        raise UnsupportedOperationError("no principal eigenvalue")
+
+    monkeypatch.setattr(spectra, "principal_eigenvalue", fail)
+    with pytest.raises(UnsupportedOperationError):
+        audit_I_sigma(disk_geom(16))
 
 
 def test_I_sigma_flat_disk_cylinder_equality_case():

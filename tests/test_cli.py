@@ -124,6 +124,17 @@ def test_config_file_and_flag_override(tmp_path):
     assert abs(float(row.split(",")[3]) - 4.0 * np.pi) < 1e-3
 
 
+def test_tolerance_flags_do_not_leak(tmp_path):
+    # theta+ = 2/r = 0.4 on a flat sphere of radius 5: a MOTS only under the
+    # loosened tolerance, and only in the run that sets it
+    args = ["audit", "--theorem", "cohn-vossen", "--data", "minkowski",
+            "--surface", "sphere:r=5", "--grid", "16x32"]
+    _, out = run(args + ["--theta-tol", "0.5"], tmp_path, "loose")
+    assert "flag:is_mots,ok" in (out / "audit_cohn-vossen.csv").read_text()
+    _, out = run(args, tmp_path, "default")
+    assert "flag:is_mots,unmet" in (out / "audit_cohn-vossen.csv").read_text()
+
+
 def test_determinism_byte_identical(tmp_path):
     args = ["constraints", "--data", "schwarzschild-pg:m=1",
             "--samples", "64", "--seed", "99"]

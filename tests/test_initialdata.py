@@ -34,8 +34,8 @@ def test_minkowski_and_basic_values():
     x = np.array([[0.3, -1.2, 2.0]])
     assert np.allclose(mink.g(x)[0], np.eye(3))
     assert np.allclose(mink.k(x), 0.0)
-    mu, J = idata.energy_momentum(mink, x)
-    assert abs(mu[0]) < 1e-10 and np.max(np.abs(J)) < 1e-10
+    jet = idata.evaluate(mink, x)
+    assert abs(jet.mu[0]) < 1e-10 and np.max(np.abs(jet.J)) < 1e-10
 
     sch = idata.schwarzschild_isotropic(1.0)
     x = np.array([0.5, 0.0, 0.0])
@@ -43,7 +43,7 @@ def test_minkowski_and_basic_values():
 
     hyp = idata.hyperboloidal_flat()
     pts = sample_points(hyp, 10)
-    ginv = hyp.ginv(pts)
+    ginv = idata.evaluate(hyp, pts).ginv
     trk = np.einsum("...ij,...ij->...", ginv, hyp.k(pts))
     assert np.allclose(trk, 3.0, atol=1e-12)
 
@@ -51,17 +51,17 @@ def test_minkowski_and_basic_values():
 def test_vacuum_constraints():
     for entry in (idata.schwarzschild_isotropic(1.0), idata.schwarzschild_pg(1.0)):
         pts = sample_points(entry, 60)
-        mu, J = idata.energy_momentum(entry, pts)
-        assert np.max(np.abs(mu)) < 1e-8, entry.name
-        assert np.max(idata.j_norm(entry, pts, J)) < 1e-8, entry.name
+        jet = idata.evaluate(entry, pts)
+        assert np.max(np.abs(jet.mu)) < 1e-8, entry.name
+        assert np.max(jet.j_norm) < 1e-8, entry.name
 
 
 def test_hyperboloidal_constraints():
     hyp = idata.hyperboloidal_flat()
     pts = sample_points(hyp, 40)
-    mu, J = idata.energy_momentum(hyp, pts)
-    assert np.allclose(mu, 3.0, atol=1e-10)
-    assert np.max(np.abs(J)) < 1e-10
+    jet = idata.evaluate(hyp, pts)
+    assert np.allclose(jet.mu, 3.0, atol=1e-10)
+    assert np.max(np.abs(jet.J)) < 1e-10
 
 
 def test_dec_margin():
@@ -81,10 +81,10 @@ def test_constraint_fd_oracle_agreement():
     for entry in idata.catalog():
         pts = sample_points(entry, rng_pts, seed=13)
         fd = idata.finite_difference_clone(entry, step=2e-5)
-        mu_a, J_a = idata.energy_momentum(entry, pts)
-        mu_f, J_f = idata.energy_momentum(fd, pts)
-        assert np.max(np.abs(mu_a - mu_f)) < 1e-5, entry.name
-        assert np.max(np.abs(J_a - J_f)) < 1e-5, entry.name
+        jet_a = idata.evaluate(entry, pts)
+        jet_f = idata.evaluate(fd, pts)
+        assert np.max(np.abs(jet_a.mu - jet_f.mu)) < 1e-5, entry.name
+        assert np.max(np.abs(jet_a.J - jet_f.J)) < 1e-5, entry.name
 
 
 def test_chart_rescaling_leaves_mu_invariant():
@@ -93,8 +93,8 @@ def test_chart_rescaling_leaves_mu_invariant():
         pts = sample_points(entry, 20)
         c = 1.7
         scaled = idata.rescaled_clone(entry, c)
-        mu, _ = idata.energy_momentum(entry, pts)
-        mu_s, _ = idata.energy_momentum(scaled, c * pts)
+        mu = idata.evaluate(entry, pts).mu
+        mu_s = idata.evaluate(scaled, c * pts).mu
         assert np.max(np.abs(mu - mu_s)) < 1e-9, entry.name
 
 
@@ -103,19 +103,19 @@ def test_extension_consistency():
     tau = (1.0, np.zeros(3))
     for entry in idata.catalog():
         pts = sample_points(entry, 20)
-        mu, J = idata.energy_momentum(entry, pts)
-        gtt = entry.extension.contract(entry, pts, tau, tau)
-        assert np.max(np.abs(gtt - mu)) < 1e-8, entry.name
+        jet = idata.evaluate(entry, pts)
+        gtt = entry.extension.contract(jet, tau, tau)
+        assert np.max(np.abs(gtt - jet.mu)) < 1e-8, entry.name
         for i in range(3):
             e = (0.0, np.eye(3)[i])
-            gti = entry.extension.contract(entry, pts, tau, e)
-            assert np.max(np.abs(gti - J[..., i])) < 1e-8, entry.name
+            gti = entry.extension.contract(jet, tau, e)
+            assert np.max(np.abs(gti - jet.J[..., i])) < 1e-8, entry.name
 
 
 def test_schwarzschild_domain_excision():
     sch = idata.schwarzschild_isotropic(1.0)
     with pytest.raises(DomainError):
-        idata.energy_momentum(sch, np.array([1e-3, 0.0, 0.0]))
+        idata.evaluate(sch, np.array([1e-3, 0.0, 0.0]))
 
 
 def test_resolve_cli_names():
@@ -131,7 +131,7 @@ def test_ricci_schwarzschild_scalar_flat():
     # Christoffel/Ricci machinery against the exact conformal structure.
     sch = idata.schwarzschild_isotropic(1.0)
     pts = sample_points(sch, 40)
-    _, scal = idata.ricci(sch, pts)
+    scal = idata.evaluate(sch, pts).R
     assert np.max(np.abs(scal)) < 1e-9
 
 
@@ -140,7 +140,7 @@ def test_slice_family_hyperboloidal():
     shifted = hyp.slice_family(0.25)
     x = np.array([1.0, 0.0, 0.0])
     assert np.allclose(shifted.g(x), np.exp(0.5) * np.eye(3))
-    mu, _ = idata.energy_momentum(shifted, x)
+    mu = idata.evaluate(shifted, x).mu
     assert abs(mu - 3.0) < 1e-10
 
 

@@ -4,7 +4,7 @@ the first-variation finite-difference oracle."""
 import numpy as np
 import pytest
 
-from motslab import grids, initialdata as idata, surfaces
+from motslab import audits, grids, initialdata as idata, surfaces
 from motslab.errors import TopologyError, UnsupportedOperationError
 from motslab.grids import integrate, make_grid
 from motslab.surfaces import (
@@ -36,6 +36,35 @@ def test_round_sphere_flat_geometry():
     assert abs(geom.area - 16.0 * np.pi) < 0.001 * 16.0 * np.pi
     # A = g_S / r for the round sphere
     assert np.max(np.abs(geom.A - geom.gS / 2.0)) < 1e-10
+
+
+def _count_ddg(data):
+    calls = []
+    ddg = data.ddg
+
+    def counted(x):
+        calls.append(x.shape[:-1])
+        return ddg(x)
+
+    data.ddg = counted
+    return calls
+
+
+def test_one_ambient_evaluation_per_point_set():
+    data = idata.schwarzschild_isotropic(1.0)
+    calls = _count_ddg(data)
+    geom = compute_geometry(sphere_chart(make_grid(grids.SPHERE, 16, 32), 0.5),
+                            data)
+    assert len(calls) == 1
+    calls.clear()
+    audits.collar_infimum(data, geom, 0.05, which="dec", steps=5)
+    assert len(calls) == 11
+
+    data = idata.minkowski_flat()
+    calls = _count_ddg(data)
+    compute_geometry(flat_disk_chart(make_grid(grids.DISK, 16, 32), 1.0), data)
+    # surface nodes, then boundary nodes
+    assert calls == [(16, 32), (32,)]
 
 
 def test_definitional_identities_node_wise():

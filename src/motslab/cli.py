@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import audits, grids, initialdata as idata, spectra, surfaces
-from .errors import MotslabError
+from .errors import InvalidInputError, MotslabError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -101,8 +101,13 @@ def resolve_surface(spec, grid_shape):
                                         float(params.get("c", 1.5)))
     if name == "graph":
         grid = grids.make_grid(grids.SPHERE, *grid_shape)
-        rho = np.loadtxt(params["file"], delimiter=",", skiprows=1)
-        rho = np.asarray(rho, dtype=float).reshape(grid.shape)
+        rho = np.loadtxt(params["file"], delimiter=",", skiprows=1, ndmin=1)
+        if rho.shape != (grid.n_nodes,):
+            raise InvalidInputError(
+                f"graph file {params['file']} holds values of shape "
+                f"{rho.shape}; a {grid.n_u}x{grid.n_v} grid needs one "
+                f"column of {grid.n_nodes} rows")
+        rho = rho.reshape(grid.shape)
         center = (float(params.get("cx", 0.0)), float(params.get("cy", 0.0)),
                   float(params.get("cz", 0.0)))
         return surfaces.radial_graph_chart(grid, rho, center)
@@ -526,7 +531,6 @@ def finalize_config(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = finalize_config(args)
     command = {
         "catalog": cmd_catalog,
         "constraints": cmd_constraints,
@@ -536,8 +540,8 @@ def main(argv=None):
         "sweep": cmd_sweep,
     }[args.command]
     try:
-        return command(cfg)
-    except (MotslabError, ValueError, np.linalg.LinAlgError) as err:
+        return command(finalize_config(args))
+    except (MotslabError, ValueError, OSError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -20,6 +20,10 @@ class NonFiniteInputError(MotslabError):
     """A field contains NaN or Inf entries."""
 
 
+class InvalidInputError(MotslabError):
+    """Input values have the wrong shape or lie outside their valid range."""
+
+
 class TopologyError(MotslabError):
     """Operation requested on an unsupported grid topology."""
 

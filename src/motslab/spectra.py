@@ -3,11 +3,13 @@
 The elliptic operators all share the shape L = -Laplace + 2 <W, grad .> +
 c(x), closed on the sphere or with a Robin condition d/dnu phi = q phi on
 the disk boundary. Assembly is in weak form: the -Laplace block is the
-discrete Dirichlet energy built from face-quadrature gradients (exactly
-symmetric, exact on constants), the Robin data enters as the boundary
-term of the integration by parts, and first-order drift rows are added
-with node-centered stencils. The generalized problem is K phi = lambda M
-phi with the lumped area mass M.
+discrete Dirichlet energy, a compact 9-point stencil on the (u, v) chart
+in which the faces between rings carry the u-u coefficient, the faces
+within rings the v-v coefficient, and the two face families share the
+mixed u-v terms (exactly symmetric, exact on constants); the Robin data
+enters as the boundary term of the integration by parts, and first-order
+drift rows are added with node-centered stencils. The generalized
+problem is K phi = lambda M phi with the lumped area mass M.
 
 The principal eigenvalue of the (generally non-self-adjoint) operator is
 computed by the positive-resolvent construction: shift by delta with
@@ -113,9 +115,10 @@ def _dvc_matrix(grid):
                              shape=(grid.n_nodes, grid.n_nodes))
 
 
-def _duc_matrix(grid):
+def _duc_matrix(grid, boundary_points=3):
     """Node-centered d/du for scalar fields: centered in the interior,
-    antipodal ghosts at poles/center, one-sided at the disk boundary."""
+    antipodal ghosts at poles/center, one-sided at the disk boundary over
+    ``boundary_points`` rings (3: second order; 2: stays within one ring)."""
     ids = _node_ids(grid)
     n_u, n_v = grid.shape
     h2 = 2.0 * grid.du
@@ -136,6 +139,9 @@ def _duc_matrix(grid):
         anti1 = np.roll(ids[-1], n_v // 2)
         add(ids[-1], anti1, 1.0 / h2)
         add(ids[-1], ids[-2], -1.0 / h2)
+    elif boundary_points == 2:
+        add(ids[-1], ids[-1], 2.0 / h2)
+        add(ids[-1], ids[-2], -2.0 / h2)
     else:
         add(ids[-1], ids[-1], 3.0 / h2)
         add(ids[-1], ids[-2], -4.0 / h2)
@@ -187,9 +193,14 @@ def _v_face_ops(grid):
 def _dirichlet_energy(geometry):
     """Exactly symmetric stiffness of the Dirichlet form int <grad u, grad v>.
 
-    Both face families carry the full 2x2 coefficient block K = sqrt(g)
-    g^{-1}; each family is a consistent quadrature of the energy, and the
-    two are averaged.
+    Compact 9-point form with coefficients K = sqrt(g) g^{-1}: the u-face
+    family (between rings) alone carries the K^uu term and the v-face
+    family (within rings) alone the K^vv term, each at full weight, both
+    with two-point differences; the K^uv cross terms are averaged over the
+    two families, the v-faces of the disk boundary ring taking the
+    two-ring one-sided d/du. Every node couples only to its ring and
+    column neighbours (and, on the pole/center rings, to the antipodal
+    ones).
     """
     grid = geometry.grid
     m = geometry.metric
@@ -197,32 +208,22 @@ def _dirichlet_energy(geometry):
     kuv = (m.sqrt_det * m.iuv).ravel()
     kvv = (m.sqrt_det * m.ivv).ravel()
 
-    dvc = _dvc_matrix(grid)
-    duc = _duc_matrix(grid)
-
     Du_f, Uavg = _u_face_ops(grid)
-    Gv_f = Uavg @ dvc
     w_f = grid.du * grid.dv
-    a = w_f * (Uavg @ kuu)
-    b = w_f * (Uavg @ kuv)
-    c = w_f * (Uavg @ kvv)
-    S1 = (Du_f.T @ sparse.diags(a) @ Du_f
-          + Du_f.T @ sparse.diags(b) @ Gv_f
-          + Gv_f.T @ sparse.diags(b) @ Du_f
-          + Gv_f.T @ sparse.diags(c) @ Gv_f)
+    a = sparse.diags(w_f * (Uavg @ kuu))
+    b = sparse.diags(0.5 * w_f * (Uavg @ kuv))
+    Gv_f = Uavg @ _dvc_matrix(grid)
+    cross = Du_f.T @ b @ Gv_f
 
     Dv_g, Vavg = _v_face_ops(grid)
-    Gu_g = Vavg @ duc
-    w_u = np.repeat(m.w_u, grid.n_v) * grid.dv
-    a = w_u * (Vavg @ kuu)
-    b = w_u * (Vavg @ kuv)
-    c = w_u * (Vavg @ kvv)
-    S2 = (Gu_g.T @ sparse.diags(a) @ Gu_g
-          + Gu_g.T @ sparse.diags(b) @ Dv_g
-          + Dv_g.T @ sparse.diags(b) @ Gu_g
-          + Dv_g.T @ sparse.diags(c) @ Dv_g)
+    w_g = np.repeat(m.w_u, grid.n_v) * grid.dv
+    c = sparse.diags(w_g * (Vavg @ kvv))
+    b = sparse.diags(0.5 * w_g * (Vavg @ kuv))
+    Gu_g = Vavg @ _duc_matrix(grid, boundary_points=2)
+    cross = cross + Gu_g.T @ b @ Dv_g
 
-    return 0.5 * (S1 + S2)
+    # symmetric summands summed pairwise, so K is symmetric to the bit
+    return (Du_f.T @ a @ Du_f + Dv_g.T @ c @ Dv_g) + (cross + cross.T)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from . import initialdata as idata
 from .errors import (
     DegenerateMetricError,
     ImmersionError,
+    InvalidInputError,
     TopologyError,
     UnsupportedOperationError,
 )
@@ -211,7 +212,8 @@ def radial_graph_chart(grid, rho, center=(0.0, 0.0, 0.0), name="radial-graph",
     with the grid stencils, so constant-radius spheres carry exact
     derivatives. An analytic ``jet`` callable (U, V) -> (rho, rho_u, rho_v,
     rho_uu, rho_uv, rho_vv) replaces the stencil derivatives when the
-    closed form is available.
+    closed form is available. A non-finite radius raises
+    NonFiniteInputError, a radius <= 0 InvalidInputError.
     """
     if grid.topology != grids.SPHERE:
         raise TopologyError("radial graphs require sphere topology")
@@ -232,6 +234,11 @@ def radial_graph_chart(grid, rho, center=(0.0, 0.0, 0.0), name="radial-graph",
         ruu = d_uu(grid, rho, 1.0)
         ruv = d_v(grid, d_u(grid, rho, 1.0))
         rvv = d_vv(grid, rho)
+    grids._check_finite("radial_graph_chart", rho)
+    if np.min(rho) <= 0.0:
+        i, j = np.unravel_index(np.argmin(rho), grid.shape)
+        raise InvalidInputError(
+            f"radial graph radius {rho[i, j]:.6g} <= 0 at node ({i}, {j})")
     mh, mh_u, mh_v, mh_uu, mh_uv, mh_vv = _direction_arrays(grid)
 
     def mul(a, B):

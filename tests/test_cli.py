@@ -184,3 +184,37 @@ def test_sweep_audit_exit_precedence(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].endswith("Holds") and lines[2].endswith("HypothesisUnmet")
+
+
+@pytest.mark.parametrize("flag", [["--theta-tol", "-1"],
+                                  ["--sweep-steps", "1"],
+                                  ["--config", "no-such-motslab.cfg"]])
+def test_bad_config_value_exits_numerical(tmp_path, capsys, flag):
+    code, _ = run(["audit", "--theorem", "cohn-vossen", "--data", "minkowski",
+                   "--surface", "sphere:r=1", "--grid", "16x32"] + flag,
+                  tmp_path)
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["negative", "nan", "rows", "missing"])
+def test_bad_graph_radii_exit_numerical(tmp_path, capsys, case):
+    rho = np.full(16 * 32, 2.0)
+    if case == "negative":
+        rho[100] = -1.0
+    elif case == "nan":
+        rho[100] = np.nan
+    elif case == "rows":
+        rho = rho[:-1]
+    path = tmp_path / "rho.csv"
+    path.write_text("rho\n" + "\n".join("%.17g" % v for v in rho))
+    if case == "missing":
+        path.unlink()
+    code, out = run(["surface", "--data", "minkowski",
+                     "--surface", f"graph:file={path}", "--grid", "16x32"],
+                    tmp_path)
+    assert code == 3
+    assert not (out / "surface.csv").exists()
+    err = capsys.readouterr().err
+    assert {"negative": "<= 0", "nan": "non-finite", "rows": "512 rows",
+            "missing": "not found"}[case] in err

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from motslab import grids, initialdata as idata, spectra, surfaces
@@ -16,7 +17,13 @@ from motslab.spectra import (
     stability_verdict,
     symmetric_spectrum,
 )
-from motslab.surfaces import compute_geometry, flat_disk_chart, sphere_chart
+from motslab.surfaces import (
+    compute_geometry,
+    ellipsoid_chart,
+    flat_disk_chart,
+    radial_graph_chart,
+    sphere_chart,
+)
 
 
 def unit_sphere_geom(n=32, data=None, r=1.0):
@@ -44,6 +51,93 @@ def test_row_sums_vanish_on_constants():
         pure = spectra._dirichlet_energy(geom)
         ones = np.ones(op.n)
         assert np.max(np.abs(pure @ ones)) < 1e-10
+
+
+def twisted_disk_geom(n, s=0.3):
+    # the flat unit disk in the chart (u, v) -> u (cos(v + s u^2),
+    # sin(v + s u^2), 0): g_uv != 0 up to and on the boundary
+    grid = make_grid(grids.DISK, n, 2 * n)
+    U, V = grid.meshgrid()
+    u = U[..., None]
+    ph = V + s * U**2
+    e = np.stack([np.cos(ph), np.sin(ph), np.zeros_like(U)], axis=-1)
+    e_perp = np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(U)], axis=-1)
+    base = flat_disk_chart(grid, 1.0)
+    chart = surfaces.nodal_chart(
+        base, u * e, e + 2.0 * s * u**2 * e_perp, u * e_perp,
+        6.0 * s * u * e_perp - 4.0 * s**2 * u**3 * e,
+        e_perp - 2.0 * s * u**2 * e, -u * e)
+    return compute_geometry(chart, idata.minkowski_flat())
+
+
+def test_dirichlet_energy_is_compact():
+    # every coupling stays within one ring and one column (cyclically); on
+    # the pole and center rings also within one column of the antipode
+    ellipsoid = compute_geometry(
+        ellipsoid_chart(make_grid(grids.SPHERE, 16, 32), 1.0, 1.3, 1.5),
+        idata.minkowski_flat())
+    disk = twisted_disk_geom(16)
+    # the cross terms are present, on the disk up to the boundary ring
+    assert np.max(np.abs(ellipsoid.metric.iuv)) > 0.1
+    assert np.min(np.abs(disk.metric.iuv[-1])) > 0.1
+    for geom in (ellipsoid, disk):
+        grid = geom.grid
+        K = spectra._dirichlet_energy(geom).tocoo()
+        assert K.nnz / grid.n_nodes < 9
+        ri, rj = np.divmod(K.row, grid.n_v)
+        ci, cj = np.divmod(K.col, grid.n_v)
+
+        def column_gap(d):
+            d = np.abs(d) % grid.n_v
+            return np.minimum(d, grid.n_v - d)
+
+        near = (np.abs(ri - ci) <= 1) & (column_gap(rj - cj) <= 1)
+        closure_rings = [0] if grid.topology == grids.DISK \
+            else [0, grid.n_u - 1]
+        antipodal = (np.isin(ri, closure_rings) & (ri == ci)
+                     & (column_gap(rj - cj - grid.n_v // 2) <= 1))
+        assert np.all(near | antipodal)
+
+
+def test_laplace_spectrum_second_order():
+    errors = []
+    for n in (32, 64):
+        geom = unit_sphere_geom(n)
+        op = assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
+                                   c_field=np.zeros(geom.grid.shape)))
+        vals = symmetric_spectrum(op, 9)
+        errors.append((np.max(np.abs(vals[1:4] - 2.0)),
+                       np.max(np.abs(vals[4:9] - 6.0))))
+    (l1_coarse, l2_coarse), (l1_fine, l2_fine) = errors
+    assert l1_coarse / l1_fine >= 3.5
+    assert l2_coarse / l2_fine >= 3.5
+    assert l1_fine < 2.5e-3
+    assert l2_fine < 0.012
+
+
+def _low_harmonics(U, V):
+    x, y, z = np.sin(U) * np.cos(V), np.sin(U) * np.sin(V), np.cos(U)
+    return [x, y, z, x * y, x * z, y * z, x**2 - y**2, 0.5 * (3 * z**2 - 1)]
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(eps=st.floats(-0.2, 0.2),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+       .filter(lambda c: sum(abs(a) for a in c) > 1e-3))
+def test_dirichlet_energy_symmetric_and_exact_on_constants(eps, coeffs):
+    total = sum(abs(a) for a in coeffs)
+
+    def rho(U, V):
+        return 1.0 + eps * sum(a * Y for a, Y in
+                               zip(coeffs, _low_harmonics(U, V))) / total
+
+    geom = compute_geometry(
+        radial_graph_chart(make_grid(grids.SPHERE, 16, 32), rho),
+        idata.minkowski_flat())
+    K = spectra._dirichlet_energy(geom)
+    assert abs(K - K.T).max() == 0.0
+    scale = sparse.linalg.norm(K, np.inf)
+    assert np.max(np.abs(K @ np.ones(K.shape[0]))) <= 1e-10 * scale
 
 
 def test_symmetry_of_mots_ls():

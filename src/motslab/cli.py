@@ -1,19 +1,25 @@
 """Command-line interface: catalog, constraints, surface, eigen, audit, sweep.
 
-Configuration is a flat ``key = value`` text file; command-line flags
-override file values. All outputs are UTF-8 text, CSV values carry 17
-significant digits, and re-running with the same configuration and seed
-reproduces byte-identical files.
+Configuration is a flat ``key = value`` text file whose keys are the long
+flag names (with dashes or underscores); its values pass through the same
+parser as the flags, with the same types and choices, and command-line
+flags override them. An unknown key or a bad value exits 3. All outputs
+are UTF-8 text, CSV values carry 17 significant digits, and re-running
+with the same configuration and seed reproduces byte-identical files.
+
+``sweep`` runs the surface, eigen or audit command once per step, on a
+copy of the configuration with one spec parameter patched.
 
 Exit codes: 0 all verdicts hold, 1 some inequality violated, 2 some
-hypothesis unmet or audit not applicable, 3 numerical failure. Across a
-multi-step run the precedence is 3 > 2 > 1 > 0.
+hypothesis unmet or audit not applicable, 3 numerical failure or invalid
+input. Across a multi-step run the precedence is 3 > 2 > 1 > 0.
 """
 
 import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,6 +106,8 @@ def resolve_surface(spec, grid_shape):
                                         float(params.get("b", 1.0)),
                                         float(params.get("c", 1.5)))
     if name == "graph":
+        if "file" not in params:
+            raise InvalidInputError("a graph surface needs file=<path>")
         grid = grids.make_grid(grids.SPHERE, *grid_shape)
         rho = np.loadtxt(params["file"], delimiter=",", skiprows=1, ndmin=1)
         if rho.shape != (grid.n_nodes,):
@@ -209,7 +217,37 @@ def cmd_constraints(cfg):
     return EXIT_OK
 
 
-def _surface_row(cfg, geom):
+class _Run(NamedTuple):
+    """One surface, eigen or audit run: the summary row a sweep step
+    writes, the exit code, the command's own files (name -> (header,
+    rows)) and its console report."""
+    row: list
+    code: int
+    files: dict
+    report: str
+
+
+def _emit(cfg, run):
+    for name, (header, rows) in run.files.items():
+        _write_csv(os.path.join(cfg.out, name), header, rows)
+    print(run.report)
+    return run.code
+
+
+def _geometry(cfg):
+    data = idata.resolve(cfg.data)
+    chart = resolve_surface(cfg.surface, _parse_grid(cfg.grid))
+    return data, surfaces.compute_geometry(chart, data)
+
+
+_SURFACE_HEADER = ["data", "surface", "grid", "area", "boundary_length",
+                   "theta_plus_min", "theta_plus_max", "theta_minus_min",
+                   "theta_minus_max", "hawking_energy",
+                   "gauss_bonnet_residual"]
+
+
+def run_surface(cfg):
+    _, geom = _geometry(cfg)
     metric = geom.metric
     k_int = grids.gauss_curvature(metric)
     if geom.grid.topology == grids.SPHERE:
@@ -223,27 +261,17 @@ def _surface_row(cfg, geom):
               + grids.boundary_integrate(
                   metric, grids.boundary_geodesic_curvature(metric))
               - 2.0 * np.pi)
-    return [cfg.data, cfg.surface, cfg.grid, geom.area, blen,
-            float(np.min(geom.theta_p)), float(np.max(geom.theta_p)),
-            float(np.min(geom.theta_m)), float(np.max(geom.theta_m)),
-            e_h, gb]
-
-
-_SURFACE_HEADER = ["data", "surface", "grid", "area", "boundary_length",
-                   "theta_plus_min", "theta_plus_max", "theta_minus_min",
-                   "theta_minus_max", "hawking_energy",
-                   "gauss_bonnet_residual"]
+    row = [cfg.data, cfg.surface, cfg.grid, geom.area, blen,
+           float(np.min(geom.theta_p)), float(np.max(geom.theta_p)),
+           float(np.min(geom.theta_m)), float(np.max(geom.theta_m)),
+           e_h, gb]
+    return _Run(row, EXIT_OK, {"surface.csv": (_SURFACE_HEADER, [row])},
+                "[surface] " + " ".join(f"{k}={_fmt(v)}" for k, v
+                                        in zip(_SURFACE_HEADER, row)))
 
 
 def cmd_surface(cfg):
-    data = idata.resolve(cfg.data)
-    chart = resolve_surface(cfg.surface, _parse_grid(cfg.grid))
-    geom = surfaces.compute_geometry(chart, data)
-    row = _surface_row(cfg, geom)
-    _write_csv(os.path.join(cfg.out, "surface.csv"), _SURFACE_HEADER, [row])
-    print("[surface] " + " ".join(f"{k}={_fmt(v)}"
-                                  for k, v in zip(_SURFACE_HEADER, row)))
-    return EXIT_OK
+    return _emit(cfg, run_surface(cfg))
 
 
 _EIGEN_HEADER = ["data", "surface", "grid", "operator", "bc", "lambda1",
@@ -251,36 +279,39 @@ _EIGEN_HEADER = ["data", "surface", "grid", "operator", "bc", "lambda1",
                  "q_hypothesis_warning"]
 
 
-def _eigen_row(cfg, result):
-    return [cfg.data, cfg.surface, cfg.grid, cfg.operator, cfg.bc,
-            result.lambda1, result.residual, result.iterations,
-            result.positive, result.adjoint_lambda1,
-            "; ".join(result.warnings)]
-
-
-def cmd_eigen(cfg):
-    data = idata.resolve(cfg.data)
-    chart = resolve_surface(cfg.surface, _parse_grid(cfg.grid))
-    geom = surfaces.compute_geometry(chart, data)
+def run_eigen(cfg):
+    _, geom = _geometry(cfg)
     bc, q_source, gamma = resolve_bc(cfg.bc)
     spec = spectra.OperatorSpec(_OPERATORS[cfg.operator], geom, bc=bc,
                                 q_source=q_source, gamma=gamma,
                                 qbar_variant=cfg.qbar)
     result = spectra.principal_eigenvalue(spectra.assemble(spec))
-    row = _eigen_row(cfg, result)
-    _write_csv(os.path.join(cfg.out, "eigen.csv"), _EIGEN_HEADER, [row])
+    row = [cfg.data, cfg.surface, cfg.grid, cfg.operator, cfg.bc,
+           result.lambda1, result.residual, result.iterations,
+           result.positive, result.adjoint_lambda1,
+           "; ".join(result.warnings)]
     U, V = geom.grid.meshgrid()
     nodes = zip(U.ravel(), V.ravel(), result.eigenfunction.ravel())
-    _write_csv(os.path.join(cfg.out, "eigenfunction.csv"),
-               ["u", "v", "phi"], nodes)
-    print(f"[eigen] {cfg.operator} ({cfg.bc}): lambda1={result.lambda1!r} "
-          f"residual={result.residual:.2e} iters={result.iterations} "
-          f"positive={result.positive} adjoint={result.adjoint_lambda1!r}")
-    return EXIT_OK
+    return _Run(row, EXIT_OK,
+                {"eigen.csv": (_EIGEN_HEADER, [row]),
+                 "eigenfunction.csv": (["u", "v", "phi"], nodes)},
+                f"[eigen] {cfg.operator} ({cfg.bc}): "
+                f"lambda1={result.lambda1!r} "
+                f"residual={result.residual:.2e} iters={result.iterations} "
+                f"positive={result.positive} "
+                f"adjoint={result.adjoint_lambda1!r}")
 
 
-def _run_audit(cfg, geom, data):
+def cmd_eigen(cfg):
+    return _emit(cfg, run_eigen(cfg))
+
+
+def _audit_report(cfg):
     tid = cfg.theorem
+    if tid == "index":
+        return audits.audit_index_bounds(cfg.genus, cfg.boundary, cfg.index,
+                                         c=cfg.c, area=cfg.area)
+    data, geom = _geometry(cfg)
     tols = {"theta_tol": cfg.theta_tol, "stab_tol": cfg.stab_tol}
     if tid == "cy-estimate":
         return audits.audit_cy_estimate(geom, data)
@@ -298,7 +329,7 @@ def _run_audit(cfg, geom, data):
         return audits.audit_I_sigma(geom, data, **tols)
     if tid == "diameter":
         return audits.audit_diameter(geom, data, **tols)
-    raise ValueError(f"unknown theorem id {cfg.theorem!r}")
+    raise ValueError(f"theorem {tid!r} has no audit report")
 
 
 def _report_rows(rep):
@@ -316,43 +347,47 @@ def _report_rows(rep):
     return rows
 
 
-def _print_report(rep):
-    print(f"[audit {rep.theorem_id}] lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)} "
-          f"margin={_fmt(rep.margin)}")
+def _report_text(rep):
+    lines = [f"[audit {rep.theorem_id}] lhs={_fmt(rep.lhs)} "
+             f"rhs={_fmt(rep.rhs)} margin={_fmt(rep.margin)}"]
     for f in rep.hypothesis_flags:
         state = "ok   " if f.satisfied else "UNMET"
-        print(f"  flag {state} {f.name} (evidence={_fmt(f.evidence)})")
+        lines.append(f"  flag {state} {f.name} (evidence={_fmt(f.evidence)})")
     for name, value in rep.equality_diagnostics:
-        print(f"  equality residual {name} = {_fmt(value)}")
+        lines.append(f"  equality residual {name} = {_fmt(value)}")
     if rep.notes:
-        print(f"  note: {rep.notes}")
-    print(f"  verdict: {rep.verdict}")
+        lines.append(f"  note: {rep.notes}")
+    lines.append(f"  verdict: {rep.verdict}")
+    return "\n".join(lines)
+
+
+_AUDIT_HEADER = ["data", "surface", "theorem", "lhs", "rhs", "margin",
+                 "verdict"]
+
+
+def run_audit(cfg):
+    rep = _audit_report(cfg)
+    row = [cfg.data, cfg.surface, rep.theorem_id, rep.lhs, rep.rhs,
+           rep.margin, rep.verdict]
+    return _Run(row, _verdict_code(rep.verdict),
+                {f"audit_{rep.theorem_id}.csv":
+                 (["key", "value"], _report_rows(rep))},
+                _report_text(rep))
+
+
+def run_collar(cfg):
+    data, geom = _geometry(cfg)
+    value = audits.collar_infimum(data, geom, cfg.zeta,
+                                  which=cfg.collar_field)
+    row = [cfg.collar_field, cfg.zeta, value]
+    return _Run(row, EXIT_OK,
+                {"audit_collar.csv": (["quantity", "zeta", "infimum"], [row])},
+                f"[collar] inf over zeta={cfg.zeta}: {value!r}")
 
 
 def cmd_audit(cfg):
-    if cfg.theorem == "index":
-        rep = audits.audit_index_bounds(cfg.genus, cfg.boundary, cfg.index,
-                                        c=cfg.c, area=cfg.area)
-    elif cfg.theorem == "collar":
-        data = idata.resolve(cfg.data)
-        chart = resolve_surface(cfg.surface, _parse_grid(cfg.grid))
-        geom = surfaces.compute_geometry(chart, data)
-        value = audits.collar_infimum(data, geom, cfg.zeta,
-                                      which=cfg.collar_field)
-        _write_csv(os.path.join(cfg.out, "audit_collar.csv"),
-                   ["quantity", "zeta", "infimum"],
-                   [(cfg.collar_field, cfg.zeta, value)])
-        print(f"[collar] inf over zeta={cfg.zeta}: {value!r}")
-        return EXIT_OK
-    else:
-        data = idata.resolve(cfg.data)
-        chart = resolve_surface(cfg.surface, _parse_grid(cfg.grid))
-        geom = surfaces.compute_geometry(chart, data)
-        rep = _run_audit(cfg, geom, data)
-    _write_csv(os.path.join(cfg.out, f"audit_{rep.theorem_id}.csv"),
-               ["key", "value"], _report_rows(rep))
-    _print_report(rep)
-    return _verdict_code(rep.verdict)
+    run = run_collar if cfg.theorem == "collar" else run_audit
+    return _emit(cfg, run(cfg))
 
 
 def _patch_spec(spec, key, value):
@@ -364,86 +399,47 @@ def _patch_spec(spec, key, value):
 
 
 def cmd_sweep(cfg):
-    import copy
-
-    target, _, key = cfg.sweep_param.partition(":")
+    """Run the swept command once per step on a patched config and write
+    the steps' summary rows to sweep.csv."""
+    target, _, key = (cfg.sweep_param or "").partition(":")
     if target not in ("surface", "data") or not key:
         raise ValueError("sweep parameter must look like surface:r or data:m")
+    run, header = {"surface": (run_surface, _SURFACE_HEADER),
+                   "eigen": (run_eigen, _EIGEN_HEADER),
+                   "audit": (run_audit, _AUDIT_HEADER)}[cfg.sweep_command]
     values = np.linspace(cfg.sweep_from, cfg.sweep_to, cfg.sweep_steps)
 
-    def one(step_value):
-        sub = copy.copy(cfg)
-        patched = _patch_spec(getattr(cfg, target), key, step_value)
-        setattr(sub, target, patched)
-        sub.out = cfg.out
-        if cfg.sweep_command == "surface":
-            data = idata.resolve(sub.data)
-            chart = resolve_surface(sub.surface, _parse_grid(sub.grid))
-            geom = surfaces.compute_geometry(chart, data)
-            return _surface_row(sub, geom), EXIT_OK
-        if cfg.sweep_command == "eigen":
-            data = idata.resolve(sub.data)
-            chart = resolve_surface(sub.surface, _parse_grid(sub.grid))
-            geom = surfaces.compute_geometry(chart, data)
-            bc, q_source, gamma = resolve_bc(sub.bc)
-            spec = spectra.OperatorSpec(_OPERATORS[sub.operator], geom,
-                                        bc=bc, q_source=q_source, gamma=gamma,
-                                        qbar_variant=sub.qbar)
-            res = spectra.principal_eigenvalue(spectra.assemble(spec))
-            return _eigen_row(sub, res), EXIT_OK
-        if cfg.sweep_command == "audit":
-            data = idata.resolve(sub.data)
-            chart = resolve_surface(sub.surface, _parse_grid(sub.grid))
-            geom = surfaces.compute_geometry(chart, data)
-            rep = _run_audit(sub, geom, data)
-            row = [sub.data, sub.surface, rep.theorem_id, rep.lhs, rep.rhs,
-                   rep.margin, rep.verdict]
-            return row, _verdict_code(rep.verdict)
-        raise ValueError(f"cannot sweep command {cfg.sweep_command!r}")
+    def step(value):
+        patched = _patch_spec(getattr(cfg, target), key, value)
+        return run(argparse.Namespace(**{**vars(cfg), target: patched}))
 
     with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-        results = list(pool.map(one, values))
-
-    if cfg.sweep_command == "surface":
-        header = ["step"] + _SURFACE_HEADER
-    elif cfg.sweep_command == "eigen":
-        header = ["step"] + _EIGEN_HEADER
-    else:
-        header = ["step", "data", "surface", "theorem", "lhs", "rhs",
-                  "margin", "verdict"]
-    rows = [[v] + list(row) for v, (row, _) in zip(values, results)]
-    _write_csv(os.path.join(cfg.out, "sweep.csv"), header, rows)
-    codes = [code for _, code in results]
+        runs = list(pool.map(step, values))
+    _write_csv(os.path.join(cfg.out, "sweep.csv"), ["step"] + header,
+               [[v] + r.row for v, r in zip(values, runs)])
+    code = _combine([r.code for r in runs])
     print(f"[sweep] {cfg.sweep_steps} steps of {cfg.sweep_param} in "
-          f"[{cfg.sweep_from}, {cfg.sweep_to}]: exit={_combine(codes)}")
-    return _combine(codes)
+          f"[{cfg.sweep_from}, {cfg.sweep_to}]: exit={code}")
+    return code
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
 
-def _load_config(path):
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+class _Parser(argparse.ArgumentParser):
+    """Raises on bad input, which ``main`` maps to exit 3; argparse's own
+    exit code 2 would read as an unmet hypothesis."""
 
-
-_FLOAT_KEYS = {"c", "area", "a", "q", "zeta", "sweep_from", "sweep_to",
-               "theta_tol", "stab_tol"}
-_INT_KEYS = {"seed", "samples", "genus", "boundary", "index", "sweep_steps",
-             "workers"}
+    def error(self, message):
+        raise InvalidInputError(message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="motslab",
+    """The one declaration of every option: its name, type, choices and
+    default. Config-file keys are these options' long names."""
+    parser = _Parser(
+        prog="motslab", allow_abbrev=False,
         description="surface stability and inequality audits on analytic "
                     "initial data sets")
     parser.add_argument("command",
@@ -451,96 +447,85 @@ def build_parser():
                                  "audit", "sweep"])
     parser.add_argument("--config", default=None,
                         help="flat key = value configuration file")
-    parser.add_argument("--data", default=None)
-    parser.add_argument("--surface", default=None)
-    parser.add_argument("--grid", default=None)
-    parser.add_argument("--operator", default=None,
-                        choices=list(_OPERATORS) + [None])
-    parser.add_argument("--bc", default=None)
-    parser.add_argument("--qbar", default=None, choices=["proof", "lemma", None])
-    parser.add_argument("--theorem", default=None)
-    parser.add_argument("--genus", type=int, default=None)
-    parser.add_argument("--boundary", type=int, default=None)
-    parser.add_argument("--index", type=int, default=None)
+    parser.add_argument("--data", default="minkowski")
+    parser.add_argument("--surface", default="sphere:r=1.0")
+    parser.add_argument("--grid", default="64x128")
+    parser.add_argument("--operator", default="Ls", choices=list(_OPERATORS))
+    parser.add_argument("--bc", default="closed")
+    parser.add_argument("--qbar", default="proof", choices=["proof", "lemma"])
+    parser.add_argument("--theorem", default="cy-estimate",
+                        choices=["cy-estimate", "hawking-bound",
+                                 "cohn-vossen", "growth-bounds", "g-quantity",
+                                 "area-boundary", "diameter", "index",
+                                 "collar"])
+    parser.add_argument("--genus", type=int, default=0)
+    parser.add_argument("--boundary", type=int, default=1)
+    parser.add_argument("--index", type=int, default=1)
     parser.add_argument("--c", type=float, default=None)
     parser.add_argument("--area", type=float, default=None)
-    parser.add_argument("--a", type=float, default=None)
+    parser.add_argument("--a", type=float, default=1.0)
     parser.add_argument("--q", type=float, default=None)
-    parser.add_argument("--zeta", type=float, default=None)
-    parser.add_argument("--collar-field", default=None,
-                        choices=["dec", "boundary", None])
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--theta-tol", type=float, default=None,
-                        help="MOTS tolerance override for audits")
-    parser.add_argument("--stab-tol", type=float, default=None,
-                        help="stability tolerance override for audits")
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--zeta", type=float, default=0.1)
+    parser.add_argument("--collar-field", default="dec",
+                        choices=["dec", "boundary"])
+    parser.add_argument("--samples", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=1234)
+    parser.add_argument("--theta-tol", type=float, default=audits.THETA_TOL,
+                        help="MOTS tolerance for audits")
+    parser.add_argument("--stab-tol", type=float, default=audits.STAB_TOL,
+                        help="stability tolerance for audits")
+    parser.add_argument("--out", default=os.environ.get("MOTSLAB_OUT", "."))
+    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--sweep-param", default=None)
-    parser.add_argument("--sweep-from", type=float, default=None)
-    parser.add_argument("--sweep-to", type=float, default=None)
-    parser.add_argument("--sweep-steps", type=int, default=None)
-    parser.add_argument("--sweep-command", default=None,
-                        choices=["surface", "eigen", "audit", None])
+    parser.add_argument("--sweep-from", type=float, default=1.0)
+    parser.add_argument("--sweep-to", type=float, default=2.0)
+    parser.add_argument("--sweep-steps", type=int, default=2)
+    parser.add_argument("--sweep-command", default="surface",
+                        choices=["surface", "eigen", "audit"])
     return parser
 
 
-_DEFAULTS = {
-    "data": "minkowski",
-    "surface": "sphere:r=1.0",
-    "grid": "64x128",
-    "operator": "Ls",
-    "bc": "closed",
-    "qbar": "proof",
-    "theorem": "cy-estimate",
-    "genus": 0, "boundary": 1, "index": 1,
-    "a": 1.0, "zeta": 0.1, "collar_field": "dec",
-    "samples": 200, "seed": 1234,
-    "theta_tol": audits.THETA_TOL, "stab_tol": audits.STAB_TOL,
-    "workers": 1,
-    "sweep_steps": 2, "sweep_from": 1.0, "sweep_to": 2.0,
-    "sweep_command": "surface",
-}
+def _config_flags(path):
+    """The ``key = value`` lines of a config file as ``--key=value``."""
+    flags = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                key, _, val = line.partition("=")
+                flags.append(f"--{key.strip().replace('_', '-')}="
+                             f"{val.strip()}")
+    return flags
 
 
-def finalize_config(args):
-    cfg = argparse.Namespace(**vars(args))
-    file_values = _load_config(args.config) if args.config else {}
-    for key, raw in file_values.items():
-        if getattr(cfg, key, None) is None:
-            if key in _FLOAT_KEYS:
-                setattr(cfg, key, float(raw))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(raw))
-            else:
-                setattr(cfg, key, raw)
-    for key, val in _DEFAULTS.items():
-        if getattr(cfg, key, None) is None:
-            setattr(cfg, key, val)
-    if cfg.out is None:
-        cfg.out = os.environ.get("MOTSLAB_OUT", ".")
-    os.makedirs(cfg.out, exist_ok=True)
+def parse_config(argv=None):
+    """Parse argv, with the ``--config`` file's lines as flags placed
+    before it so that flags win, and check the values' ranges."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    cfg = parser.parse_args(argv)
+    if cfg.config:
+        cfg = parser.parse_args(_config_flags(cfg.config) + argv)
     for name in ("theta_tol", "stab_tol"):
         if getattr(cfg, name) <= 0.0:
             raise ValueError(f"{name} must be positive")
-    if cfg.sweep_steps is not None and cfg.sweep_steps < 2:
+    if cfg.sweep_steps < 2:
         raise ValueError("sweeps need at least 2 steps")
+    os.makedirs(cfg.out, exist_ok=True)
     return cfg
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    command = {
-        "catalog": cmd_catalog,
-        "constraints": cmd_constraints,
-        "surface": cmd_surface,
-        "eigen": cmd_eigen,
-        "audit": cmd_audit,
-        "sweep": cmd_sweep,
-    }[args.command]
     try:
-        return command(finalize_config(args))
+        cfg = parse_config(argv)
+        return {
+            "catalog": cmd_catalog,
+            "constraints": cmd_constraints,
+            "surface": cmd_surface,
+            "eigen": cmd_eigen,
+            "audit": cmd_audit,
+            "sweep": cmd_sweep,
+        }[cfg.command](cfg)
     except (MotslabError, ValueError, OSError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -15,7 +15,8 @@ The principal eigenvalue of the (generally non-self-adjoint) operator is
 computed by the positive-resolvent construction: shift by delta with
 c + delta > 0, factorize once, and power-iterate the solution operator;
 the limit ratio xi gives lambda_1 = 1/xi - delta with a positive
-eigenfunction, and the transposed solves give the adjoint eigenvalue.
+eigenfunction, and the transposed solves give the adjoint eigenvalue (a
+symmetric pencil is its own adjoint and skips them).
 """
 
 from dataclasses import dataclass, field
@@ -340,7 +341,8 @@ def principal_eigenvalue(opmat, tol=1e-12, max_iters=10000):
     resolvent, following the positive-operator construction: pick delta
     with c + delta > 0, factorize K + delta M once, and iterate
     x <- (K + delta M)^{-1} M x. The Rayleigh ratio converges to
-    1/(lambda_1 + delta); transposed solves give the adjoint eigenvalue.
+    1/(lambda_1 + delta); transposed solves give the adjoint eigenvalue,
+    which for a symmetric pencil is lambda_1 itself.
     """
     delta = max(0.0, -float(np.min(opmat.c))) + 1.0
     M = sparse.diags(opmat.mass)
@@ -375,8 +377,11 @@ def principal_eigenvalue(opmat, tol=1e-12, max_iters=10000):
         raise IterationFailureError("could not find a positivity-improving "
                                     "shift for the resolvent iteration")
     lam = 1.0 / xi - delta
-    xi_adj, _, _ = iterate(lu, "T")
-    lam_adj = 1.0 / xi_adj - delta
+    if opmat.symmetric:
+        lam_adj = lam
+    else:
+        xi_adj, _, _ = iterate(lu, "T")
+        lam_adj = 1.0 / xi_adj - delta
 
     imax = int(np.argmax(np.abs(vec)))
     vec = vec / vec[imax]

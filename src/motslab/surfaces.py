@@ -436,9 +436,6 @@ class SurfaceGeometry:
     def has_extension(self):
         return self.G_lplm is not None
 
-    def W_up(self):
-        return self.metric.raise_covector(self.W_cov[..., 0], self.W_cov[..., 1])
-
     def boundary_length(self):
         if self.boundary is None:
             raise TopologyError("surface has no boundary")

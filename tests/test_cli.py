@@ -114,8 +114,9 @@ def test_sweep_eigen_rows(tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
+    # keys are the long flag names, with dashes or underscores
     cfgfile.write_text("data = minkowski\nsurface = sphere:r=2.0\n"
-                       "grid = 16x32\n")
+                       "grid = 16x32\nsweep_steps = 3\ntheta-tol = 0.5\n")
     code, out = run(["surface", "--config", str(cfgfile),
                      "--surface", "sphere:r=1.0"], tmp_path)
     assert code == 0
@@ -186,10 +187,23 @@ def test_sweep_audit_exit_precedence(tmp_path):
     assert lines[1].endswith("Holds") and lines[2].endswith("HypothesisUnmet")
 
 
+def test_sweep_without_param_exits_numerical(tmp_path, capsys):
+    code, _ = run(["sweep", "--grid", "16x32"], tmp_path)
+    assert code == 3
+    assert "surface:r or data:m" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [["--theta-tol", "-1"],
                                   ["--sweep-steps", "1"],
-                                  ["--config", "no-such-motslab.cfg"]])
+                                  ["--config", "no-such-motslab.cfg"],
+                                  ["--config", "operator = bogus"],
+                                  ["--config", "opertor = L"]])
 def test_bad_config_value_exits_numerical(tmp_path, capsys, flag):
+    if "=" in flag[1]:
+        # a config file holding this one line
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(flag[1] + "\n")
+        flag = ["--config", str(cfgfile)]
     code, _ = run(["audit", "--theorem", "cohn-vossen", "--data", "minkowski",
                    "--surface", "sphere:r=1", "--grid", "16x32"] + flag,
                   tmp_path)
@@ -197,7 +211,8 @@ def test_bad_config_value_exits_numerical(tmp_path, capsys, flag):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["negative", "nan", "rows", "missing"])
+@pytest.mark.parametrize("case", ["negative", "nan", "rows", "missing",
+                                  "no-file"])
 def test_bad_graph_radii_exit_numerical(tmp_path, capsys, case):
     rho = np.full(16 * 32, 2.0)
     if case == "negative":
@@ -210,11 +225,25 @@ def test_bad_graph_radii_exit_numerical(tmp_path, capsys, case):
     path.write_text("rho\n" + "\n".join("%.17g" % v for v in rho))
     if case == "missing":
         path.unlink()
+    spec = "graph:" if case == "no-file" else f"graph:file={path}"
     code, out = run(["surface", "--data", "minkowski",
-                     "--surface", f"graph:file={path}", "--grid", "16x32"],
-                    tmp_path)
+                     "--surface", spec, "--grid", "16x32"], tmp_path)
     assert code == 3
     assert not (out / "surface.csv").exists()
     err = capsys.readouterr().err
     assert {"negative": "<= 0", "nan": "non-finite", "rows": "512 rows",
-            "missing": "not found"}[case] in err
+            "missing": "not found", "no-file": "file=<path>"}[case] in err
+
+
+@pytest.mark.parametrize("command", ["surface", "eigen", "audit"])
+def test_sweep_workers_byte_identical(tmp_path, command):
+    args = ["sweep", "--sweep-command", command, "--sweep-param", "surface:r",
+            "--sweep-from", "0.8", "--sweep-to", "1.2", "--sweep-steps", "3",
+            "--operator", "L", "--theorem", "cy-estimate",
+            "--data", "hyperboloidal", "--surface", "sphere:r=1.0",
+            "--grid", "16x32"]
+    code1, out1 = run(args + ["--workers", "1"], tmp_path, "one")
+    code2, out2 = run(args + ["--workers", "2"], tmp_path, "two")
+    assert code1 == code2
+    assert (out1 / "sweep.csv").read_bytes() == \
+        (out2 / "sweep.csv").read_bytes()

@@ -3,6 +3,7 @@ the first-variation finite-difference oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motslab import audits, grids, initialdata as idata, surfaces
 from motslab.errors import TopologyError, UnsupportedOperationError
@@ -92,18 +93,33 @@ def test_definitional_identities_node_wise():
         assert np.max(np.abs(nn - 1.0)) < 1e-12
 
 
-def test_orientation_flip_swaps_expansions():
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.one_of(
+    st.builds(lambda r, c: sphere_chart(make_grid(grids.SPHERE, 16, 32), r,
+                                        tuple(0.5 * x for x in c)),
+              st.floats(1.5, 3.0), st.tuples(_UNIT, _UNIT, _UNIT)),
+    st.builds(lambda a, b, c: ellipsoid_chart(make_grid(grids.SPHERE, 16, 32),
+                                              a, b, c),
+              st.floats(1.5, 3.0), st.floats(1.5, 3.0), st.floats(1.5, 3.0)),
+    st.builds(lambda r, z: flat_disk_chart(make_grid(grids.DISK, 16, 32),
+                                           r, z),
+              st.floats(0.5, 2.0), st.floats(0.3, 1.0))))
+def test_orientation_flip_swaps_expansions(chart):
     from dataclasses import replace
 
-    chart = sphere_chart(grid64(), 0.8)
-    data = idata.hyperboloidal_flat()
+    # Painleve-Gullstrand data: k is not umbilic, so P and W are nonzero
+    data = idata.schwarzschild_pg(1.0)
     geom = compute_geometry(chart, data)
     geom_in = compute_geometry(replace(chart, flip_normal=True), data)
-    # the flipped normal swaps theta_+ and theta_-
-    assert np.max(np.abs(geom_in.theta_p - geom.theta_m)) < 1e-11
-    assert np.max(np.abs(geom_in.theta_m - geom.theta_p)) < 1e-11
-    assert np.max(np.abs(geom_in.H + geom.H)) < 1e-11
-    assert np.max(np.abs(geom_in.P - geom.P)) < 1e-12
+    # the flipped normal swaps theta_+ and theta_- to the bit
+    assert np.array_equal(geom_in.theta_p, geom.theta_m)
+    assert np.array_equal(geom_in.theta_m, geom.theta_p)
+    assert np.array_equal(geom_in.W_cov, -geom.W_cov)
+    assert np.array_equal(geom_in.H, -geom.H)
+    assert np.array_equal(geom_in.P, geom.P)
 
 
 def test_schwarzschild_horizon_is_marginally_trapped():

@@ -16,6 +16,7 @@ input. Across a multi-step run the precedence is 3 > 2 > 1 > 0.
 """
 
 import argparse
+import csv
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -43,22 +44,14 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
+    """Write a CSV file; a field holding a comma (a spec such as
+    ``sphere:r=2,cx=0.1``) is quoted."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
     os.replace(tmp, path)
-
-
-def _parse_kv(text):
-    params = {}
-    if not text:
-        return params
-    for item in text.split(","):
-        key, _, val = item.partition("=")
-        params[key.strip()] = val.strip()
-    return params
 
 
 def _parse_grid(text):
@@ -70,6 +63,14 @@ def _parse_grid(text):
     return n_u, n_v
 
 
+_SUPPORT_KEYS = {"plane": ("z",), "cylinder": ("r",), "ball": ("r",)}
+_SURFACE_KEYS = {"sphere": ("r", "cx", "cy", "cz"),
+                 "ellipsoid": ("a", "b", "c"),
+                 "graph": ("file", "cx", "cy", "cz"),
+                 "disk": ("r", "z", "support"),
+                 "cap": ("r", "support")}
+
+
 def resolve_support(spec):
     if spec is None:
         return None
@@ -77,23 +78,25 @@ def resolve_support(spec):
     if spec == "plane-z0":
         return surfaces.PlaneSupport(0.0)
     name, _, rest = spec.partition(":")
-    params = {k: float(v) for k, v in _parse_kv(rest).items()}
+    if name not in _SUPPORT_KEYS:
+        raise ValueError(f"unknown support {name!r}")
+    params = {k: float(v) for k, v in
+              idata.spec_params(name, rest, _SUPPORT_KEYS[name]).items()}
     if name == "plane":
         return surfaces.PlaneSupport(params.get("z", 0.0))
     if name == "cylinder":
         return surfaces.CylinderSupport(params.get("r", 1.0))
-    if name == "ball":
-        return surfaces.BallSupport(params.get("r", 1.0))
-    raise ValueError(f"unknown support {name!r}")
+    return surfaces.BallSupport(params.get("r", 1.0))
 
 
 def resolve_surface(spec, grid_shape):
     """Build a surface chart from a CLI spec string like ``sphere:r=2.0``."""
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
-    raw = _parse_kv(rest)
-    support = resolve_support(raw.pop("support", None))
-    params = {k: v for k, v in raw.items()}
+    if name not in _SURFACE_KEYS:
+        raise ValueError(f"unknown surface {name!r}")
+    params = idata.spec_params(name, rest, _SURFACE_KEYS[name])
+    support = resolve_support(params.pop("support", None))
 
     if name == "sphere":
         grid = grids.make_grid(grids.SPHERE, *grid_shape)
@@ -124,11 +127,9 @@ def resolve_surface(spec, grid_shape):
         r = float(params.get("r", 1.0))
         return surfaces.flat_disk_chart(grid, r, float(params.get("z", 0.0)),
                                         support=support)
-    if name == "cap":
-        grid = grids.make_grid(grids.DISK, *grid_shape)
-        return surfaces.cap_chart(grid, float(params.get("r", 1.0)),
-                                  support=support)
-    raise ValueError(f"unknown surface {name!r}")
+    grid = grids.make_grid(grids.DISK, *grid_shape)
+    return surfaces.cap_chart(grid, float(params.get("r", 1.0)),
+                              support=support)
 
 
 _OPERATORS = {
@@ -391,8 +392,8 @@ def cmd_audit(cfg):
 
 
 def _patch_spec(spec, key, value):
-    name, sep, rest = spec.partition(":")
-    params = _parse_kv(rest) if sep else {}
+    name, _, rest = spec.partition(":")
+    params = idata.spec_params(name, rest)
     params[key] = _fmt(float(value))
     body = ",".join(f"{k}={v}" for k, v in params.items())
     return f"{name}:{body}"

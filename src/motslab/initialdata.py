@@ -11,7 +11,9 @@ never supplied by hand, so catalog entries are constraint-consistent by
 construction. ``evaluate`` computes the whole ambient jet at a point set
 (g, its inverse and derivatives, k, the Christoffel symbols, Ricci, and the
 constraint-derived mu, J and |J|) and is the single source of (mu, J) for
-every other module.
+every other module. It contracts with batched matrix products, and builds
+Ricci from contractions of g^-1 with the second derivatives of g, without
+forming the derivative of the Christoffel symbols.
 
 Index conventions: ``dg[..., m, i, j] = d_m g_ij``,
 ``ddg[..., l, m, i, j] = d_l d_m g_ij``, ``dk[..., m, i, j] = d_m k_ij``.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidInputError
 
 _EYE = np.eye(3)
 
@@ -52,10 +54,8 @@ class DeSitterExtension:
     def contract(self, jet, a, b):
         at, asp = a
         bt, bsp = b
-        x = jet.x
-        spatial = np.einsum("...ij,...i,...j->...", jet.g,
-                            np.broadcast_to(asp, x.shape),
-                            np.broadcast_to(bsp, x.shape))
+        spatial = bilinear(jet.g, np.broadcast_to(asp, jet.x.shape),
+                           np.broadcast_to(bsp, jet.x.shape))
         return -3.0 * (-np.asarray(at) * np.asarray(bt) + spatial)
 
 
@@ -169,7 +169,7 @@ def schwarzschild_isotropic(mass=1.0, excision_factor=0.05):
         psi = 1.0 + 0.5 * m / r
         dpsi = -0.5 * m * x / r[..., None] ** 3
         rr = r[..., None, None]
-        xx = np.einsum("...i,...j->...ij", x, x)
+        xx = x[..., :, None] * x[..., None, :]
         ddpsi = -0.5 * m * (_EYE / rr**3 - 3.0 * xx / rr**5)
         return psi, dpsi, ddpsi
 
@@ -185,7 +185,7 @@ def schwarzschild_isotropic(mass=1.0, excision_factor=0.05):
     def ddg(x):
         psi, dpsi, ddpsi = _psi_jet(x)
         coef = (12.0 * psi[..., None, None] ** 2
-                * np.einsum("...l,...m->...lm", dpsi, dpsi)
+                * (dpsi[..., :, None] * dpsi[..., None, :])
                 + 4.0 * psi[..., None, None] ** 3 * ddpsi)
         return coef[..., :, :, None, None] * _EYE
 
@@ -218,7 +218,7 @@ def schwarzschild_pg(mass=1.0, excision_factor=0.05):
     def k(x):
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)[..., None, None]
-        xx = np.einsum("...i,...j->...ij", x, x)
+        xx = x[..., :, None] * x[..., None, :]
         return -s2m * (_EYE / r**1.5 - 1.5 * xx / r**3.5)
 
     def dk(x):
@@ -255,14 +255,35 @@ def catalog():
     ]
 
 
+# CLI name -> (constructor, {spec key: constructor keyword})
 _CLI_NAMES = {
-    "minkowski": lambda p: minkowski_flat(),
-    "minkowski-flat": lambda p: minkowski_flat(),
-    "hyperboloidal": lambda p: hyperboloidal_flat(**p),
-    "hyperboloidal-flat": lambda p: hyperboloidal_flat(**p),
-    "schwarzschild-iso": lambda p: schwarzschild_isotropic(p.get("m", 1.0)),
-    "schwarzschild-pg": lambda p: schwarzschild_pg(p.get("m", 1.0)),
+    "minkowski": (minkowski_flat, {}),
+    "minkowski-flat": (minkowski_flat, {}),
+    "hyperboloidal": (hyperboloidal_flat, {"scale": "scale"}),
+    "hyperboloidal-flat": (hyperboloidal_flat, {"scale": "scale"}),
+    "schwarzschild-iso": (schwarzschild_isotropic, {"m": "mass"}),
+    "schwarzschild-pg": (schwarzschild_pg, {"m": "mass"}),
 }
+
+
+def spec_params(name, text, known=None):
+    """The ``key=value`` pairs of a spec's parameter text, as strings.
+
+    With ``known``, a key outside it raises InvalidInputError, so a typo
+    cannot silently fall back to a default.
+    """
+    params = {}
+    if text:
+        for item in text.split(","):
+            key, _, val = item.partition("=")
+            params[key.strip()] = val.strip()
+    if known is not None:
+        for key in params:
+            if key not in known:
+                raise InvalidInputError(
+                    f"{name} takes no parameter {key!r}; it takes "
+                    f"{', '.join(sorted(known)) or 'none'}")
+    return params
 
 
 def resolve(spec):
@@ -272,12 +293,9 @@ def resolve(spec):
     if name not in _CLI_NAMES:
         raise ValueError(f"unknown initial data set {name!r}; "
                          f"known: {sorted(_CLI_NAMES)}")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            params[key.strip()] = float(val)
-    return _CLI_NAMES[name](params)
+    make, keywords = _CLI_NAMES[name]
+    params = spec_params(name, rest, keywords)
+    return make(**{keywords[key]: float(val) for key, val in params.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +328,30 @@ class AmbientJet:
     j_norm: np.ndarray
 
 
+def bilinear(M, a, b):
+    """M(a, b) = M_ij a^i b^j for batched square fields and vectors."""
+    return np.sum(a * (M @ b[..., None])[..., 0], axis=-1)
+
+
 def evaluate(data, x):
     """Evaluate the ambient jet of ``data`` at batched points ``x``.
 
     Checks the domain once and calls each analytic evaluator once. The
     energy density mu and momentum density J come from the constraint
     equations; this is the single source of truth for (mu, J) downstream.
+
+    Every contraction is a batched matrix product over 3x3 blocks or over
+    index pairs flattened to 9. Ricci is built from the second derivatives
+    directly,
+
+        2 Ric_jk = g^il (d_i d_j g_lk + d_i d_k g_jl - d_i d_l g_jk
+                         - d_j d_k g_il)
+                   + d_i g^il A_ljk - d_j g^il d_k g_il
+                   + 2 (Gamma^i_ip Gamma^p_jk - Gamma^i_jp Gamma^p_ik),
+
+    with A_ljk = 2 Gamma_ljk, which is d_i Gamma^i_jk - d_j Gamma^i_ik plus
+    the quadratic terms (d_j Gamma^i_ik uses Gamma^i_ik = g^il d_k g_il / 2),
+    so the derivative of the Christoffel symbols is never formed.
     """
     x = np.asarray(x, dtype=float)
     data.check_domain(x)
@@ -325,32 +361,43 @@ def evaluate(data, x):
     ddg = data.ddg(x)
     k = data.k(x)
     dk = data.dk(x)
+    batch = x.shape[:-1]
 
-    A = (np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg)
-         - dg)
-    gam = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, A)
-    dginv = -np.einsum("...ia,...mab,...bl->...mil", ginv, dg, ginv)
-    dA = (np.einsum("...mjlk->...mljk", ddg) + np.einsum("...mkjl->...mljk", ddg)
-          - ddg)
-    dgam = 0.5 * (np.einsum("...mil,...ljk->...mijk", dginv, A)
-                  + np.einsum("...il,...mljk->...mijk", ginv, dA))
-    ric = (np.einsum("...iijk->...jk", dgam)
-           - np.einsum("...jiik->...jk", dgam)
-           + np.einsum("...iip,...pjk->...jk", gam, gam)
-           - np.einsum("...ijp,...pik->...jk", gam, gam))
-    scal = np.einsum("...jk,...jk->...", ginv, ric)
+    def flat(a, rows, cols):
+        return a.reshape(batch + (rows, cols))
 
-    trk = np.einsum("...ij,...ij->...", ginv, k)
-    k2 = np.einsum("...ia,...jb,...ij,...ab->...", ginv, ginv, k, k)
+    # A[l, j, k] = d_j g_lk + d_k g_jl - d_l g_jk
+    A = dg.swapaxes(-3, -2) + dg.swapaxes(-3, -1) - dg
+    gam = 0.5 * flat(ginv @ flat(A, 3, 9), 3, 9).reshape(batch + (3, 3, 3))
+    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
+
+    ginv_row = flat(ginv, 1, 9)
+    ddg_99 = flat(ddg, 9, 9)
+    # g^il d_i d_j g_lk, g^il d_i d_l g_jk and g^il d_j d_k g_il
+    cross = flat(ginv_row @ flat(ddg.swapaxes(-3, -2), 9, 9), 3, 3)
+    box = flat(ginv_row @ ddg_99, 3, 3)
+    hess_ln = flat(ddg_99 @ flat(ginv, 9, 1), 3, 3)
+    div_ginv = np.trace(dginv, axis1=-3, axis2=-2)
+    first = (flat(div_ginv[..., None, :] @ flat(A, 3, 9), 3, 3)
+             - flat(dginv, 3, 9) @ flat(dg, 3, 9).swapaxes(-1, -2))
+    gam_jip = gam.swapaxes(-3, -2)
+    quad = (flat(np.trace(gam, axis1=-3, axis2=-2)[..., None, :]
+                 @ flat(gam, 3, 9), 3, 3)
+            - flat(gam_jip, 3, 9) @ flat(gam_jip, 9, 3))
+    ric = 0.5 * (cross + cross.swapaxes(-1, -2) - box - hess_ln + first) + quad
+    scal = np.sum(ginv * ric, axis=(-2, -1))
+
+    trk = np.sum(ginv * k, axis=(-2, -1))
+    k_up = ginv @ k
+    k2 = np.sum(k_up * k_up.swapaxes(-1, -2), axis=(-2, -1))
     mu = 0.5 * (scal + trk**2 - k2)
-    dtrk = (np.einsum("...mab,...ab->...m", dginv, k)
-            + np.einsum("...ab,...mab->...m", ginv, dk))
-    div_k = (np.einsum("...ik,...ikj->...j", ginv, dk)
-             - np.einsum("...ik,...lik,...lj->...j", ginv, gam, k)
-             - np.einsum("...ik,...lij,...kl->...j", ginv, gam, k))
+    dtrk = (flat(dginv, 3, 9) @ flat(k, 9, 1)
+            + flat(dk, 3, 9) @ flat(ginv, 9, 1))[..., 0]
+    div_k = (ginv_row @ flat(dk, 9, 3)
+             - (flat(gam, 3, 9) @ flat(ginv, 9, 1)).swapaxes(-1, -2) @ k
+             - flat(k_up.swapaxes(-1, -2), 1, 9) @ flat(gam, 9, 3))[..., 0, :]
     J = div_k - dtrk
-    j_norm = np.sqrt(np.maximum(np.einsum("...ij,...i,...j->...", ginv, J, J),
-                                0.0))
+    j_norm = np.sqrt(np.maximum(bilinear(ginv, J, J), 0.0))
     return AmbientJet(x=x, g=g, ginv=ginv, dg=dg, k=k, dk=dk, gam=gam,
                       dginv=dginv, ric=ric, R=scal, trk=trk, absk2=k2,
                       dtrk=dtrk, mu=mu, J=J, j_norm=j_norm)

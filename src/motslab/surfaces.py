@@ -62,10 +62,9 @@ class LevelSetSupport:
         """Outward unit normal of the boundary of M at the points of an
         ambient jet, normalized with g."""
         s = self.sign * self.grad(jet.x)
-        ginv = jet.ginv
-        length = np.sqrt(np.einsum("...ij,...i,...j->...", ginv, s, s))
-        return s / length[..., None], np.einsum("...ij,...j->...i",
-                                                ginv, s) / length[..., None]
+        s_up = (jet.ginv @ s[..., None])[..., 0]
+        length = np.sqrt(np.sum(s * s_up, axis=-1))[..., None]
+        return s / length, s_up / length
 
     def shape_operator(self, jet):
         """Covariant derivative Pi_ij = nabla_i Nbar_j of the unit conormal.
@@ -75,21 +74,22 @@ class LevelSetSupport:
         """
         s = self.sign * self.grad(jet.x)
         hess = self.sign * self.hess(jet.x)
-        ginv = jet.ginv
-        L2 = np.einsum("...ij,...i,...j->...", ginv, s, s)
+        s_up = (jet.ginv @ s[..., None])[..., 0]
+        L2 = np.sum(s * s_up, axis=-1)
         L = np.sqrt(L2)
-        dL = (0.5 / L)[..., None] * (
-            np.einsum("...mab,...a,...b->...m", jet.dginv, s, s)
-            + 2.0 * np.einsum("...ab,...ia,...b->...i", ginv, hess, s))
-        dn = hess / L[..., None, None] - np.einsum(
-            "...j,...i->...ij", s, dL) / L2[..., None, None]
+        s_m = s[..., None, :]
+        dL = (0.5 / L)[..., None] * (idata.bilinear(jet.dginv, s_m, s_m)
+                                     + 2.0 * (hess @ s_up[..., None])[..., 0])
+        dn = (hess / L[..., None, None]
+              - dL[..., :, None] * s[..., None, :] / L2[..., None, None])
         nbar_cov = s / L[..., None]
-        return dn - np.einsum("...kij,...k->...ij", jet.gam, nbar_cov)
+        gam_n = nbar_cov[..., None, :] @ jet.gam.reshape(L.shape + (3, 9))
+        return dn - gam_n.reshape(L.shape + (3, 3))
 
     def mean_curvature(self, jet):
         """Mean curvature of the boundary of M with respect to the outward
         normal: trace of the shape operator over the tangent space."""
-        return np.einsum("...ij,...ij->...", jet.ginv, self.shape_operator(jet))
+        return np.sum(jet.ginv * self.shape_operator(jet), axis=(-2, -1))
 
 
 class PlaneSupport(LevelSetSupport):
@@ -150,7 +150,7 @@ class BallSupport(LevelSetSupport):
 
     def level(self, x):
         x = np.asarray(x, dtype=float)
-        return np.einsum("...i,...i->...", x, x) - self.radius**2
+        return np.sum(x * x, axis=-1) - self.radius**2
 
     def grad(self, x):
         return 2.0 * np.asarray(x, dtype=float)
@@ -377,7 +377,7 @@ class BoundaryData:
                                 self.gamma.shape)
         nubar = (-np.sin(gamma))[..., None] * self.normal \
             + np.cos(gamma)[..., None] * self.nu
-        return np.einsum("...i,...ij,...j->...", nubar, self.shape_op, nubar)
+        return idata.bilinear(self.shape_op, nubar, nubar)
 
 
 @dataclass
@@ -468,9 +468,14 @@ class SurfaceGeometry:
         return new
 
 
-def _sym2_norm2(ginv2, T):
-    """|T|^2 = g^{ac} g^{bd} T_ab T_cd for stacked 2x2 symmetric fields."""
-    return np.einsum("...ac,...bd,...ab,...cd->...", ginv2, ginv2, T, T)
+def _sym2_dot(ginv2, S, T):
+    """<S, T> = g^{ac} g^{bd} S_ab T_cd for stacked 2x2 symmetric fields."""
+    return np.sum((ginv2 @ S) * (ginv2 @ T).swapaxes(-1, -2), axis=(-2, -1))
+
+
+def _sym2(a00, a01, a11):
+    """Stack three component fields into symmetric (..., 2, 2) blocks."""
+    return np.stack([np.stack([a00, a01], -1), np.stack([a01, a11], -1)], -2)
 
 
 def compute_geometry(surface, data):
@@ -479,62 +484,58 @@ def compute_geometry(surface, data):
     F = surface.F
     jet = idata.evaluate(data, F)
     e_u, e_v = surface.Fu, surface.Fv
+    # tangent frame E[..., a, i] = e_a^i and its pairings with g and k
+    E = np.stack([e_u, e_v], -2)
+    Et = E.swapaxes(-1, -2)
+    g_E = E @ jet.g
+    k_E = E @ jet.k
 
-    def dot(a, b):
-        return np.einsum("...ij,...i,...j->...", jet.g, a, b)
-
-    guu, guv, gvv = dot(e_u, e_u), dot(e_u, e_v), dot(e_v, e_v)
+    g_EE = g_E @ Et
+    guu, guv, gvv = g_EE[..., 0, 0], g_EE[..., 0, 1], g_EE[..., 1, 1]
     try:
         metric = Metric2Field(grid, guu, guv, gvv)
     except DegenerateMetricError as err:
         raise ImmersionError(f"chart fails to immerse at node {err.node}") from err
 
-    gS = np.stack([np.stack([guu, guv], -1), np.stack([guv, gvv], -1)], -2)
+    gS = _sym2(guu, guv, gvv)
     det = metric.det
-    gS_inv = np.empty_like(gS)
-    gS_inv[..., 0, 0] = gvv / det
-    gS_inv[..., 0, 1] = -guv / det
-    gS_inv[..., 1, 0] = -guv / det
-    gS_inv[..., 1, 1] = guu / det
+    gS_inv = _sym2(gvv / det, -guv / det, guu / det)
 
     # unit normal: flat cross product gives a covector annihilating both
     # tangents; raise with g and normalize.
     n_cov = np.cross(e_u, e_v)
-    n_up = np.einsum("...ij,...j->...i", jet.ginv, n_cov)
-    norm = np.sqrt(np.einsum("...i,...i->...", n_cov, n_up))
+    n_up = (jet.ginv @ n_cov[..., None])[..., 0]
+    norm = np.sqrt(np.sum(n_cov * n_up, axis=-1))
     N = n_up / norm[..., None]
+    N_cov = (jet.g @ N[..., None])[..., 0]
     kind, ref = surface.normal_ref
     if kind == "center":
-        sign_field = dot(N, F - ref)
+        sign_field = np.sum(N_cov * (F - ref), axis=-1)
     else:
-        sign_field = np.einsum("...i,i->...", N, np.asarray(ref, dtype=float))
+        sign_field = N @ np.asarray(ref, dtype=float)
     sign = np.where(sign_field >= 0.0, 1.0, -1.0)
     if surface.flip_normal:
         sign = -sign
     N = N * sign[..., None]
+    N_cov = N_cov * sign[..., None]
 
-    N_cov = np.einsum("...ij,...j->...i", jet.g, N)
+    # A_ab = -g(N, F_ab + Gamma(e_a, e_b))
+    gam_N = (N_cov[..., None, :]
+             @ jet.gam.reshape(grid.shape + (3, 9))).reshape(grid.shape + (3, 3))
+    gam_NEE = E @ gam_N @ Et
 
-    def second_form(Fab, ea, eb):
-        s = Fab + np.einsum("...ijk,...j,...k->...i", jet.gam, ea, eb)
-        return -np.einsum("...i,...i->...", N_cov, s)
+    def second_form(Fab, a, b):
+        return -(np.sum(N_cov * Fab, axis=-1) + gam_NEE[..., a, b])
 
-    A = np.empty(grid.shape + (2, 2))
-    A[..., 0, 0] = second_form(surface.Fuu, e_u, e_u)
-    A[..., 0, 1] = second_form(surface.Fuv, e_u, e_v)
-    A[..., 1, 0] = A[..., 0, 1]
-    A[..., 1, 1] = second_form(surface.Fvv, e_v, e_v)
-    H = np.einsum("...ab,...ab->...", gS_inv, A)
+    A = _sym2(second_form(surface.Fuu, 0, 0), second_form(surface.Fuv, 0, 1),
+              second_form(surface.Fvv, 1, 1))
+    H = np.sum(gS_inv * A, axis=(-2, -1))
 
-    k_S = np.empty_like(A)
-    k_S[..., 0, 0] = np.einsum("...ij,...i,...j->...", jet.k, e_u, e_u)
-    k_S[..., 0, 1] = np.einsum("...ij,...i,...j->...", jet.k, e_u, e_v)
-    k_S[..., 1, 0] = k_S[..., 0, 1]
-    k_S[..., 1, 1] = np.einsum("...ij,...i,...j->...", jet.k, e_v, e_v)
-    P = np.einsum("...ab,...ab->...", gS_inv, k_S)
+    k_EE = k_E @ Et
+    k_S = _sym2(k_EE[..., 0, 0], k_EE[..., 0, 1], k_EE[..., 1, 1])
+    P = np.sum(gS_inv * k_S, axis=(-2, -1))
 
-    W_cov = np.stack([np.einsum("...ij,...i,...j->...", jet.k, e_u, N),
-                      np.einsum("...ij,...i,...j->...", jet.k, e_v, N)], -1)
+    W_cov = (k_E @ N[..., None])[..., 0]
 
     chi_p = k_S + A
     chi_m = k_S - A
@@ -542,14 +543,14 @@ def compute_geometry(surface, data):
     theta_m = P - H
     chihat_m = chi_m - 0.5 * theta_m[..., None, None] * gS
 
-    J_N = np.einsum("...i,...i->...", jet.J, N)
+    J_N = np.sum(jet.J * N, axis=-1)
 
-    chi_p2 = _sym2_norm2(gS_inv, chi_p)
-    chi_m2 = _sym2_norm2(gS_inv, chi_m)
-    chihat_m2 = _sym2_norm2(gS_inv, chihat_m)
-    absA2 = _sym2_norm2(gS_inv, A)
+    chi_p2 = _sym2_dot(gS_inv, chi_p, chi_p)
+    chi_m2 = _sym2_dot(gS_inv, chi_m, chi_m)
+    chihat_m2 = _sym2_dot(gS_inv, chihat_m, chihat_m)
+    absA2 = _sym2_dot(gS_inv, A, A)
 
-    RicNN = np.einsum("...ij,...i,...j->...", jet.ric, N, N)
+    RicNN = idata.bilinear(jet.ric, N, N)
 
     # intrinsic curvature via the traced Gauss equation; the ambient data is
     # analytic, so this is exact wherever the chart derivatives are (the
@@ -558,13 +559,18 @@ def compute_geometry(surface, data):
     R_S = jet.R - 2.0 * RicNN + H**2 - absA2
     K = 0.5 * R_S
     Q = 0.5 * R_S - jet.mu - J_N - 0.5 * chi_p2
-    kNN = np.einsum("...ij,...i,...j->...", jet.k, N, N)
-    A_dot_kS = np.einsum("...ac,...bd,...ab,...cd->...", gS_inv, gS_inv, A, k_S)
+    k_N = (jet.k @ N[..., None])[..., 0]
+    kNN = np.sum(k_N * N, axis=-1)
+    A_dot_kS = _sym2_dot(gS_inv, A, k_S)
 
-    nab_trk = np.einsum("...m,...m->...", N, jet.dtrk)
-    nab_kNN = (np.einsum("...m,...i,...j,...mij->...", N, N, N, jet.dk)
-               - 2.0 * np.einsum("...m,...i,...lmi,...lj,...j->...",
-                                 N, N, jet.gam, jet.k, N))
+    # N(tr k) - (nabla_N k)(N, N)
+    nab_trk = np.sum(N * jet.dtrk, axis=-1)
+    dk_N = (jet.dk.reshape(grid.shape + (9, 3))
+            @ N[..., None]).reshape(grid.shape + (3, 3))
+    N_row = N[..., None, :]
+    gam_NN = idata.bilinear(jet.gam, N_row, N_row)
+    nab_kNN = (idata.bilinear(dk_N, N, N)
+               - 2.0 * np.sum(gam_NN * k_N, axis=-1))
     nabla_N_P = nab_trk - nab_kNN
 
     wu, wv = metric.raise_covector(W_cov[..., 0], W_cov[..., 1])
@@ -618,14 +624,14 @@ def _boundary_data(surface, data, metric, gS_inv, e_u, e_v, N, W_cov, A):
 
     jet = idata.evaluate(data, xb)
     _, nbar = surface.support.unit_normal(jet)
-    cosg = np.einsum("...ij,...i,...j->...", jet.g, N[-1], nbar)
+    cosg = idata.bilinear(jet.g, N[-1], nbar)
     gamma = np.arccos(np.clip(cosg, -1.0, 1.0))
     shape_op = surface.support.shape_operator(jet)
-    Pi_NN = np.einsum("...i,...ij,...j->...", N[-1], shape_op, N[-1])
-    A_nunu = np.einsum("...a,...ab,...b->...", nu_chart, A[-1], nu_chart)
+    Pi_NN = idata.bilinear(shape_op, N[-1], N[-1])
+    A_nunu = idata.bilinear(A[-1], nu_chart, nu_chart)
     W_nu = (W_cov[-1, :, 0] * nu_chart[..., 0]
             + W_cov[-1, :, 1] * nu_chart[..., 1])
-    H_dM = np.einsum("...ij,...ij->...", jet.ginv, shape_op)
+    H_dM = np.sum(jet.ginv * shape_op, axis=(-2, -1))
     return BoundaryData(points=xb, nu_chart=nu_chart, nu=nu, normal=N[-1],
                         nbar=nbar, cos_gamma=cosg, gamma=gamma,
                         shape_op=shape_op, Pi_NN=Pi_NN, A_nunu=A_nunu,

@@ -1,5 +1,6 @@
 """CLI tests: commands, exit codes, determinism of output files."""
 
+import csv
 import os
 
 import numpy as np
@@ -209,6 +210,32 @@ def test_bad_config_value_exits_numerical(tmp_path, capsys, flag):
                   tmp_path)
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [["--data", "schwarzschild-iso:mm=3"],
+                                  ["--data", "hyperboloidal:m=3"],
+                                  ["--surface", "sphere:r=1.5,rr=2"],
+                                  ["--surface", "sphere:r=1,support=plane"],
+                                  ["--surface",
+                                   "disk:r=1,support=cylinder:rr=1"]])
+def test_unknown_spec_parameter_exits_numerical(tmp_path, capsys, spec):
+    code, out = run(["surface", "--data", "minkowski",
+                     "--surface", "sphere:r=1", "--grid", "16x32"] + spec,
+                    tmp_path)
+    assert code == 3
+    assert not (out / "surface.csv").exists()
+    assert "takes no parameter" in capsys.readouterr().err
+
+
+def test_csv_quotes_specs_with_commas(tmp_path):
+    spec = "sphere:r=2,cx=0.1"
+    code, out = run(["surface", "--data", "minkowski", "--surface", spec,
+                     "--grid", "16x32"], tmp_path)
+    assert code == 0
+    with open(out / "surface.csv", newline="", encoding="utf-8") as fh:
+        header, row = list(csv.reader(fh))
+    assert len(row) == len(header)
+    assert dict(zip(header, row))["surface"] == spec
 
 
 @pytest.mark.parametrize("case", ["negative", "nan", "rows", "missing",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from motslab import initialdata as idata
 from motslab.errors import DomainError
@@ -149,3 +150,92 @@ def test_nonpositive_mass_rejected():
         idata.schwarzschild_isotropic(0.0)
     with pytest.raises(ValueError):
         idata.schwarzschild_pg(-1.0)
+
+
+def _textbook_jet(g, dg, ddg, k, dk):
+    """The ambient fields from the index formulas, contracted one einsum
+    at a time through the full derivative of the Christoffel symbols."""
+    ginv = np.linalg.inv(g)
+    A = (np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg)
+         - dg)
+    gam = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, A)
+    dginv = -np.einsum("...ia,...mab,...bl->...mil", ginv, dg, ginv)
+    dA = (np.einsum("...mjlk->...mljk", ddg)
+          + np.einsum("...mkjl->...mljk", ddg) - ddg)
+    dgam = 0.5 * (np.einsum("...mil,...ljk->...mijk", dginv, A)
+                  + np.einsum("...il,...mljk->...mijk", ginv, dA))
+    ric = (np.einsum("...iijk->...jk", dgam)
+           - np.einsum("...jiik->...jk", dgam)
+           + np.einsum("...iip,...pjk->...jk", gam, gam)
+           - np.einsum("...ijp,...pik->...jk", gam, gam))
+    scal = np.einsum("...jk,...jk->...", ginv, ric)
+    trk = np.einsum("...ij,...ij->...", ginv, k)
+    k2 = np.einsum("...ia,...jb,...ij,...ab->...", ginv, ginv, k, k)
+    dtrk = (np.einsum("...mab,...ab->...m", dginv, k)
+            + np.einsum("...ab,...mab->...m", ginv, dk))
+    div_k = (np.einsum("...ik,...ikj->...j", ginv, dk)
+             - np.einsum("...ik,...lik,...lj->...j", ginv, gam, k)
+             - np.einsum("...ik,...lij,...kl->...j", ginv, gam, k))
+    J = div_k - dtrk
+    j_norm = np.sqrt(np.maximum(
+        np.einsum("...ij,...i,...j->...", ginv, J, J), 0.0))
+    return {"gam": gam, "dginv": dginv, "ric": ric, "R": scal, "trk": trk,
+            "absk2": k2, "dtrk": dtrk, "mu": 0.5 * (scal + trk**2 - k2),
+            "J": J, "j_norm": j_norm}
+
+
+def _sym(a, i, j):
+    return 0.5 * (a + np.swapaxes(a, i, j))
+
+
+def _polynomial_data(seed, eps):
+    """g = delta + eps S(x) with S a symmetric quadratic polynomial and k a
+    symmetric linear field, all derivatives exact: neither flat nor
+    conformally flat, and g_ij is not diagonal."""
+    rng = np.random.default_rng(seed)
+    a = _sym(rng.uniform(-1, 1, (3, 3)), 0, 1)
+    b = _sym(rng.uniform(-1, 1, (3, 3, 3)), 0, 1)              # b_ijm
+    c = _sym(_sym(rng.uniform(-1, 1, (3, 3, 3, 3)), 0, 1), 2, 3)  # c_ijlm
+    p = _sym(rng.uniform(-1, 1, (3, 3)), 0, 1)
+    q = _sym(rng.uniform(-1, 1, (3, 3, 3)), 0, 1)              # q_ijm
+
+    def g(x):
+        S = (a + np.einsum("ijm,...m->...ij", b, x)
+             + np.einsum("ijlm,...l,...m->...ij", c, x, x))
+        return np.eye(3) + eps * S
+
+    def dg(x):
+        dS = (np.moveaxis(b, -1, 0)
+              + 2.0 * np.einsum("ijml,...l->...mij", c, x))
+        return eps * np.broadcast_to(dS, x.shape[:-1] + (3, 3, 3))
+
+    def ddg(x):
+        return eps * np.broadcast_to(2.0 * np.transpose(c, (2, 3, 0, 1)),
+                                     x.shape[:-1] + (3, 3, 3, 3))
+
+    def k(x):
+        return p + np.einsum("ijm,...m->...ij", q, x)
+
+    def dk(x):
+        return np.broadcast_to(np.moveaxis(q, -1, 0),
+                               x.shape[:-1] + (3, 3, 3))
+
+    return idata.InitialData(
+        name="polynomial", params={}, g=g, dg=dg, ddg=ddg, k=k, dk=dk,
+        in_domain=lambda x: np.ones(np.asarray(x).shape[:-1], dtype=bool))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.02, 0.2))
+def test_jet_matches_textbook_formulas(seed, eps):
+    # Catalog metrics are flat or conformally flat; this one is neither,
+    # so an index slip in the second-derivative contractions shows.
+    data = _polynomial_data(seed, eps)
+    x = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, (4, 5, 3))
+    assume(np.min(np.linalg.eigvalsh(data.g(x))) > 0.2)
+    jet = idata.evaluate(data, x)
+    ref = _textbook_jet(jet.g, jet.dg, data.ddg(x), jet.k, jet.dk)
+    for name, expected in ref.items():
+        got = getattr(jet, name)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * scale, name

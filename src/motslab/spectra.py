@@ -12,18 +12,27 @@ drift rows are added with node-centered stencils. The generalized
 problem is K phi = lambda M phi with the lumped area mass M.
 
 The principal eigenvalue of the (generally non-self-adjoint) operator is
-computed by the positive-resolvent construction: shift by delta with
-c + delta > 0, factorize once, and power-iterate the solution operator;
-the limit ratio xi gives lambda_1 = 1/xi - delta with a positive
-eigenfunction, and the transposed solves give the adjoint eigenvalue (a
-symmetric pencil is its own adjoint and skips them).
+real and has the smallest real part, with a one-signed eigenfunction. It
+is computed by shift-invert Arnoldi on the positive resolvent: shift by
+delta with lambda_1 + delta > 0, factorize K + delta M once, and let
+ARPACK find the largest-magnitude eigenvalue xi of x -> (K + delta M)^{-1}
+M x, which is lambda_1 = 1/xi - delta; transposed solves on the same
+factor give the adjoint eigenvalue (a symmetric pencil is its own adjoint
+and skips them). Convergence is declared from the backward error of the
+eigenpair, never from a stalled ratio.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import (
+    ArpackError,
+    LinearOperator,
+    eigs,
+    eigsh,
+    splu,
+)
 
 from . import grids, surfaces
 from .errors import (
@@ -227,6 +236,33 @@ def _dirichlet_energy(geometry):
     return (Du_f.T @ a @ Du_f + Dv_g.T @ c @ Dv_g) + (cross + cross.T)
 
 
+def _stencil_pattern(grid):
+    """Row and column indices of every coupling an assembled operator on
+    ``grid`` can hold: the 9-point stencil, the antipodal partners of the
+    pole/center rings, and the drift column two rings in from the disk
+    boundary (the one-sided d/du). Sparse sums and products drop entries
+    that cancel to 0, so this, not the assembled matrix, is the structure
+    the factorization sees."""
+    ids = _node_ids(grid)
+    n_u, n_v = grid.shape
+    rows, cols = [], []
+    for di in (-1, 0, 1):
+        lo, hi = max(0, -di), n_u - max(0, di)
+        for dj in (-1, 0, 1):
+            rows.append(ids[lo:hi])
+            cols.append(np.roll(ids, -dj, axis=1)[lo + di:hi + di])
+    closure = [0] if grid.topology == grids.DISK else [0, n_u - 1]
+    for i in closure:
+        for dj in (-1, 0, 1):
+            rows.append(ids[i])
+            cols.append(np.roll(ids[i], -(n_v // 2 + dj)))
+    if grid.topology == grids.DISK:
+        rows.append(ids[-1])
+        cols.append(ids[-3])
+    return (np.concatenate([r.ravel() for r in rows]),
+            np.concatenate([c.ravel() for c in cols]))
+
+
 # ---------------------------------------------------------------------------
 # operator assembly
 
@@ -336,62 +372,130 @@ class EigenResult:
         return abs(self.lambda1 - self.adjoint_lambda1)
 
 
-def principal_eigenvalue(opmat, tol=1e-12, max_iters=10000):
-    """Principal eigenvalue by inverse power iteration on the shifted
-    resolvent, following the positive-operator construction: pick delta
-    with c + delta > 0, factorize K + delta M once, and iterate
-    x <- (K + delta M)^{-1} M x. The Rayleigh ratio converges to
-    1/(lambda_1 + delta); transposed solves give the adjoint eigenvalue,
-    which for a symmetric pencil is lambda_1 itself.
+# Arnoldi basis size: scipy's default of 20 would make every eigensolve
+# cost at least 21 resolvent applications
+_NCV = 6
+_BACKWARD_TOL = 1e-12   # eigenpair backward error that declares convergence
+_REAL_TOL = 1e-10       # |Im xi| / |xi| below which xi counts as real
+_SHIFT_ATTEMPTS = 8
+
+
+def _shifted_matrix(opmat, delta):
+    """K + delta M in CSC form over the grid's full stencil pattern
+    (explicit zeros where entries cancel), so the factorization's ordering
+    and fill depend on the grid alone."""
+    k = opmat.weak.tocoo()
+    rows, cols = _stencil_pattern(opmat.geometry.grid)
+    diag = np.arange(opmat.n)
+    return sparse.coo_matrix(
+        (np.concatenate([k.data, delta * opmat.mass, np.zeros(rows.size)]),
+         (np.concatenate([k.row, diag, rows]),
+          np.concatenate([k.col, diag, cols]))),
+        shape=k.shape).tocsc()
+
+
+def _backward_error(weak, mass, lam, x):
+    """Normwise backward error |Kx - lam Mx| / ((|K| + |lam| |M|) |x|) of an
+    eigenpair of the pencil (K, M), in the max norm."""
+    knorm = float(abs(weak).sum(axis=1).max())
+    resid = np.max(np.abs(weak @ x - lam * (mass * x)))
+    return float(resid / ((knorm + abs(lam) * np.max(mass))
+                          * np.max(np.abs(x))))
+
+
+def _principal(weak, mass, factor, trans, delta, tol, max_iters):
+    """Principal eigenpair of the pencil (weak, diag(mass)).
+
+    ``factor(delta)`` returns the SuperLU factor of K + delta M, solved
+    with ``trans`` ("T" for the adjoint, where weak = K^T). The constant
+    vector is tried first (it is the eigenfunction on horizons, centred
+    spheres and flat disks); otherwise ARPACK runs on the resolvent
+    x -> (weak + delta M)^{-1} M x, enlarging delta until its dominant
+    eigenvalue xi is real and positive with a one-signed eigenvector.
+    Returns lambda, the eigenvector scaled to max 1, the number of
+    resolvent applications, and the final delta.
     """
-    delta = max(0.0, -float(np.min(opmat.c))) + 1.0
-    M = sparse.diags(opmat.mass)
+    ones = np.ones(mass.size)
+    lam = float(np.sum(weak @ ones)) / float(np.sum(mass))
+    if _backward_error(weak, mass, lam, ones) <= _BACKWARD_TOL:
+        return lam, ones, 0, delta
 
-    def iterate(lu, trans):
-        x = np.ones(opmat.n)
-        xi_prev = None
-        for it in range(1, max_iters + 1):
-            mx = opmat.mass * x
-            y = lu.solve(mx, trans=trans)
-            xi = float(y @ mx) / float(x @ mx)
-            y = y / np.max(np.abs(y))
-            converged = xi_prev is not None and abs(xi - xi_prev) <= tol * max(1.0, abs(xi))
-            x = y
-            xi_prev = xi
-            if converged:
-                return xi, x, it
-        raise IterationFailureError(
-            f"power iteration did not converge within {max_iters} iterations")
+    applications = 0
+    for _ in range(_SHIFT_ATTEMPTS):
+        lu = factor(delta)
 
-    # The shift must satisfy lambda_1 + delta > 0 for the resolvent to be
-    # positivity improving; with a boundary coefficient q > 0 the default
-    # shift from the zeroth-order field alone can be insufficient, so it is
-    # enlarged until the iteration sees a positive ratio.
-    for attempt in range(8):
-        lu = splu((opmat.weak + delta * M).tocsc())
-        xi, vec, iters = iterate(lu, "N")
-        if xi > 0.0:
-            break
+        def resolvent(x):
+            nonlocal applications
+            applications += 1
+            return lu.solve(mass * x, trans=trans)
+
+        op = LinearOperator((mass.size, mass.size), matvec=resolvent,
+                            dtype=float)
+        try:
+            vals, vecs = eigs(op, k=1, which="LM", ncv=_NCV, tol=tol,
+                              maxiter=max_iters, v0=ones, rng=0)
+        except ArpackError as exc:
+            raise IterationFailureError(
+                f"shift-invert Arnoldi failed: {exc}") from exc
+        xi = vals[0]
+        if abs(xi.imag) <= _REAL_TOL * abs(xi) and xi.real > 0.0:
+            vec = vecs[:, 0].real
+            vec = vec / vec[int(np.argmax(np.abs(vec)))]
+            if np.min(vec) > 0.0:
+                break
+        # lambda_1 + delta <= 0 (a Robin q > 0 can do this): the resolvent
+        # is not positive and its dominant eigenvalue is another one
         delta = 4.0 * delta + abs(1.0 / xi)
     else:
         raise IterationFailureError("could not find a positivity-improving "
-                                    "shift for the resolvent iteration")
-    lam = 1.0 / xi - delta
+                                    "shift for the resolvent")
+    lam = float(1.0 / xi.real - delta)
+    err = _backward_error(weak, mass, lam, vec)
+    if err > _BACKWARD_TOL:
+        raise IterationFailureError(
+            f"principal eigenpair backward error {err:.2e} exceeds "
+            f"{_BACKWARD_TOL:.0e}")
+    return lam, vec, applications, delta
+
+
+def principal_eigenvalue(opmat, tol=1e-13, max_iters=10000):
+    """Principal eigenvalue, eigenfunction and adjoint eigenvalue.
+
+    Shift-invert Arnoldi (ARPACK, ``tol`` and ``max_iters`` passed on) on
+    the positive resolvent (K + delta M)^{-1} M, with delta chosen so that
+    c + delta > 0 and enlarged while the dominant eigenvalue xi is not
+    real and positive with a one-signed eigenvector; then lambda_1 =
+    1/xi - delta. K + delta M is factorized once and its transposed solves
+    give the adjoint eigenvalue, which for a symmetric pencil is lambda_1
+    itself. A constant eigenfunction is recognised before any solve. The
+    eigenpair must meet a backward error of 1e-12, else
+    IterationFailureError. ``iterations`` counts the forward resolvent
+    applications.
+    """
+    factors = {}     # the factor of the latest shift, which the adjoint reuses
+
+    def factor(delta):
+        if delta not in factors:
+            factors.clear()
+            factors[delta] = splu(_shifted_matrix(opmat, delta))
+        return factors[delta]
+
+    delta = max(0.0, -float(np.min(opmat.c))) + 1.0
+    lam, vec, applications, delta = _principal(
+        opmat.weak, opmat.mass, factor, "N", delta, tol, max_iters)
     if opmat.symmetric:
         lam_adj = lam
     else:
-        xi_adj, _, _ = iterate(lu, "T")
-        lam_adj = 1.0 / xi_adj - delta
+        lam_adj = _principal(opmat.weak.T, opmat.mass, factor, "T", delta,
+                             tol, max_iters)[0]
 
-    imax = int(np.argmax(np.abs(vec)))
-    vec = vec / vec[imax]
     resid = (np.max(np.abs(opmat.weak @ vec / opmat.mass - lam * vec))
              / np.max(np.abs(vec)))
     return EigenResult(
         lambda1=lam,
         eigenfunction=vec.reshape(opmat.geometry.grid.shape),
         residual=float(resid),
-        iterations=iters,
+        iterations=applications,
         positive=bool(np.min(vec) > 0.0),
         adjoint_lambda1=lam_adj,
         warnings=list(opmat.warnings))
@@ -402,8 +506,8 @@ def symmetric_spectrum(opmat, count):
     if not opmat.symmetric:
         raise UnsupportedOperationError(
             "symmetric spectrum requires a symmetric operator kind")
-    sym = 0.5 * (opmat.weak + opmat.weak.T)
-    M = sparse.diags(opmat.mass)
+    K = opmat.weak.tocsc()
+    M = sparse.diags(opmat.mass).tocsc()
     sigma = min(0.0, float(np.min(opmat.c))) - 1.0
     if opmat.robin_q is not None and np.max(opmat.robin_q) > 0.0:
         sigma -= float(np.max(opmat.robin_q)
@@ -411,13 +515,12 @@ def symmetric_spectrum(opmat, count):
                                 / opmat.mass[opmat.geometry.grid.boundary_index]))
     count = min(count, opmat.n - 2)
     v0 = np.ones(opmat.n)
-    vals = eigsh(sym.tocsc(), k=count, M=M.tocsc(), sigma=sigma,
-                 which="LM", v0=v0, return_eigenvectors=False)
+    vals = eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0, rng=0,
+                 return_eigenvectors=False)
     vals = np.sort(vals)
     if vals[0] < sigma:
-        vals = eigsh(sym.tocsc(), k=count, M=M.tocsc(),
-                     sigma=2.0 * vals[0] - sigma, which="LM", v0=v0,
-                     return_eigenvectors=False)
+        vals = eigsh(K, k=count, M=M, sigma=2.0 * vals[0] - sigma,
+                     which="LM", v0=v0, rng=0, return_eigenvectors=False)
         vals = np.sort(vals)
     return vals
 

@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from motslab import grids, initialdata as idata, spectra, surfaces
-from motslab.errors import NotAMOTSError, TopologyError, UnsupportedOperationError
+from motslab.errors import (
+    IterationFailureError,
+    NotAMOTSError,
+    TopologyError,
+    UnsupportedOperationError,
+)
 from motslab.grids import make_grid
 from motslab.spectra import (
     OperatorSpec,
@@ -210,7 +215,7 @@ def test_morse_index_shifted_laplacian():
 def test_gauge_similarity_conjugated_operator():
     # lambda_1 of the exact discrete conjugate Lambda^{-1} K_s Lambda (a
     # consistent discretization of the operator with W = grad h) computed
-    # through the non-self-adjoint power iteration equals lambda_1(L_s).
+    # through the non-self-adjoint Arnoldi solve equals lambda_1(L_s).
     geom = unit_sphere_geom(32)
     op_s = assemble(OperatorSpec(spectra.MOTS_LS, geom))
     res_s = principal_eigenvalue(op_s)
@@ -366,3 +371,150 @@ def test_capillary_robin_bessel_oracle():
         q_source=spectra.Q_CAPILLARY, gamma=gamma)))
     assert abs(res.lambda1 + k * k) < 1.5e-3
     assert res.positive and res.adjoint_gap < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# principal eigenvalue: oracle, convergence gate, factor pattern
+
+
+def backward_error(op, lam, x):
+    """|Kx - lam Mx| / ((|K| + |lam| |M|) |x|) in the max norm."""
+    knorm = sparse.linalg.norm(op.weak, np.inf)
+    resid = np.max(np.abs(op.weak @ x - lam * op.mass * x))
+    return resid / ((knorm + abs(lam) * np.max(op.mass)) * np.max(np.abs(x)))
+
+
+def pg_sphere_geom(n, r, centre):
+    return compute_geometry(
+        sphere_chart(make_grid(grids.SPHERE, n, 2 * n), r, centre),
+        idata.schwarzschild_pg(1.0))
+
+
+def disk_geom(n, support):
+    return compute_geometry(
+        flat_disk_chart(make_grid(grids.DISK, n, 2 * n), 1.0, support=support),
+        idata.minkowski_flat())
+
+
+def _oracle_specs():
+    near = pg_sphere_geom(16, 1.0, (0.4, 0.0, 0.0))
+    far = pg_sphere_geom(16, 4.1, (0.45, 0.0, 0.0))
+    cylinder = disk_geom(16, surfaces.CylinderSupport(1.0))
+    ball = disk_geom(16, surfaces.BallSupport(1.0))
+    return {
+        "PG L": OperatorSpec(spectra.MOTS_L, near),
+        "PG Ls": OperatorSpec(spectra.MOTS_LS, near),
+        "PG HStabNormal": OperatorSpec(spectra.HSTAB_NORMAL, near),
+        "PG HStabMinusLminus": OperatorSpec(spectra.HSTAB_MINUS_LMINUS, near),
+        "PG r=4.1 HStabNormal": OperatorSpec(spectra.HSTAB_NORMAL, far),
+        "PG r=4.1 HStabMinusLminus": OperatorSpec(
+            spectra.HSTAB_MINUS_LMINUS, far),
+        "Robin free disk": spectra.mots_spec(cylinder, spectra.MOTS_L),
+        "q > 0 ball disk": OperatorSpec(spectra.MOTS_L, ball,
+                                        bc=spectra.BC_ROBIN,
+                                        q_source=spectra.Q_FREE),
+        "capillary disk": OperatorSpec(spectra.MOTS_L, ball,
+                                       bc=spectra.BC_ROBIN,
+                                       q_source=spectra.Q_CAPILLARY,
+                                       gamma=1.2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_specs()))
+def test_principal_eigenvalue_dense_oracle(name):
+    # lambda_1 is the eigenvalue of smallest real part of the dense pencil
+    # (K, M), its eigenfunction is one-signed, and the eigenpair meets the
+    # backward-error gate; the adjoint eigenvalue is the same number.
+    from scipy.linalg import eig
+
+    op = assemble(_oracle_specs()[name])
+    dense = eig(op.weak.toarray(), np.diag(op.mass), right=False)
+    ref = dense[np.argmin(dense.real)]
+    assert abs(ref.imag) <= 1e-12 * max(1.0, abs(ref))
+    res = principal_eigenvalue(op)
+    scale = max(abs(ref.real), 1e-2)
+    assert abs(res.lambda1 - ref.real) <= 1e-9 * scale
+    assert abs(res.adjoint_lambda1 - ref.real) <= 1e-9 * scale
+    phi = res.eigenfunction.ravel()
+    assert res.positive and np.min(phi) > 0.0 and np.max(phi) == 1.0
+    assert backward_error(op, res.lambda1, phi) <= 1e-12
+
+
+def test_offcentre_ls_converges_on_the_residual():
+    # The symmetric operator on the off-centre PG sphere once stopped on a
+    # stalled Rayleigh ratio with a residual of 4e-6 (backward error 5e-10).
+    op = assemble(OperatorSpec(spectra.MOTS_LS,
+                               pg_sphere_geom(32, 1.0, (0.4, 0.0, 0.0))))
+    res = principal_eigenvalue(op)
+    assert backward_error(op, res.lambda1, res.eigenfunction.ravel()) <= 1e-12
+    assert res.residual <= 1e-8
+
+
+def test_principal_eigenvalue_gate_raises(monkeypatch):
+    op = assemble(OperatorSpec(spectra.MOTS_L,
+                               pg_sphere_geom(16, 1.0, (0.4, 0.0, 0.0))))
+    monkeypatch.setattr(spectra, "_BACKWARD_TOL", 1e-20)
+    with pytest.raises(IterationFailureError):
+        principal_eigenvalue(op)
+
+
+def test_constant_eigenfunction_skips_the_factorization(monkeypatch):
+    # horizons and flat free disks have the constant eigenfunction: the
+    # gate accepts it before any factorization or resolvent application
+    def no_factor(matrix):
+        raise AssertionError("factorized a pencil with a constant "
+                             "eigenfunction")
+
+    monkeypatch.setattr(spectra, "splu", no_factor)
+    for geom in (horizon_geom(32),
+                 disk_geom(16, surfaces.CylinderSupport(1.0))):
+        res = principal_eigenvalue(assemble(spectra.mots_spec(geom)))
+        assert res.iterations == 0
+        assert np.all(res.eigenfunction == 1.0)
+
+
+def test_factor_input_has_the_grid_pattern():
+    # Entries that cancel to 0 (g_uv on the flat disk, on the symmetry
+    # planes of the ellipsoid; absent drift) stay in the matrix handed to
+    # splu as explicit zeros, so its pattern depends on the grid alone:
+    # 9 per node on the sphere; on the disk the boundary ring has no
+    # antipodal partners (-3) but the one-sided d/du column (+1).
+    n = 16
+    ellipsoid = compute_geometry(
+        ellipsoid_chart(make_grid(grids.SPHERE, n, 2 * n), 1.0, 1.3, 1.5),
+        idata.minkowski_flat())
+    flat = disk_geom(n, surfaces.CylinderSupport(1.0))
+    U, _ = flat.grid.meshgrid()
+    drift = np.stack([0.3 * U, np.zeros_like(U)], -1)
+    sphere_ops = [assemble(OperatorSpec(spectra.MOTS_LS, ellipsoid)),
+                  assemble(OperatorSpec(spectra.MOTS_LS, unit_sphere_geom(n))),
+                  assemble(OperatorSpec(spectra.MOTS_L, pg_sphere_geom(
+                      n, 1.0, (0.4, 0.0, 0.0))))]
+    disk_ops = [assemble(spectra.mots_spec(flat)),
+                assemble(spectra.mots_spec(twisted_disk_geom(n))),
+                assemble(spectra.mots_spec(flat.with_overrides(W_cov=drift)))]
+    n_nodes, n_v = ellipsoid.grid.n_nodes, ellipsoid.grid.n_v
+    for ops, expected in ((sphere_ops, 9 * n_nodes),
+                          (disk_ops, 9 * n_nodes - 2 * n_v)):
+        for op in ops:
+            assert spectra._shifted_matrix(op, 1.0).nnz == expected
+
+
+def test_one_signed_check_with_positive_robin_q():
+    # q = 1 > 0 on the ball-support flat disk, so the default shift leaves
+    # lambda_1 + delta < 0; at 32x64 the dominant xi of that resolvent is
+    # real and positive but belongs to lambda = -0.0016, whose eigenvector
+    # changes sign, and only the one-signed test rejects it. The principal
+    # eigenvalue is -k^2 with k I1(k) = q I0(k) (boundary closure of first
+    # order, hence the tolerance).
+    from scipy.optimize import brentq
+    from scipy.special import i0, i1
+
+    k = brentq(lambda s: s * i1(s) - i0(s), 0.3, 3.0)
+    ball = disk_geom(32, surfaces.BallSupport(1.0))
+    q = robin_coefficient(ball, spectra.Q_FREE)
+    assert np.max(np.abs(q - 1.0)) < 1e-12
+    res = principal_eigenvalue(assemble(OperatorSpec(
+        spectra.MOTS_L, ball, bc=spectra.BC_ROBIN, q_source=spectra.Q_FREE)))
+    assert res.positive
+    assert abs(res.lambda1 + k * k) < 5e-3

@@ -20,6 +20,15 @@ M x, which is lambda_1 = 1/xi - delta; transposed solves on the same
 factor give the adjoint eigenvalue (a symmetric pencil is its own adjoint
 and skips them). Convergence is declared from the backward error of the
 eigenpair, never from a stalled ratio.
+
+Both eigensolvers factorize through one helper, ``_factor``: SuperLU of
+K + delta M over the grid's fixed stencil pattern, ordered by minimum
+degree on the pattern of A^T + A. The pattern is symmetric, so this
+ordering roughly halves the fill of the column ordering (COLAMD) meant
+for unsymmetric patterns. The principal eigenvalue and the lowest
+eigenvalues of a symmetric pencil (``eigsh``, handed the factor's solve
+as its shift-inverse) share the shift ``_shift`` and this factor; no
+solver factorizes on its own.
 """
 
 from dataclasses import dataclass, field
@@ -394,6 +403,25 @@ def _shifted_matrix(opmat, delta):
         shape=k.shape).tocsc()
 
 
+def _shift(opmat):
+    """delta that makes K + delta M positive: above -min c by 1, plus the
+    largest boundary term q dl / M of a Robin q > 0 (bounded by max q times
+    max dl / M)."""
+    delta = max(0.0, -float(np.min(opmat.c))) + 1.0
+    if opmat.robin_q is not None and np.max(opmat.robin_q) > 0.0:
+        metric = opmat.geometry.metric
+        boundary_mass = opmat.mass[opmat.geometry.grid.boundary_index]
+        delta += float(np.max(opmat.robin_q)
+                       * np.max(metric.boundary_line_element() / boundary_mass))
+    return delta
+
+
+def _factor(opmat, delta):
+    """SuperLU factor of K + delta M, ordered by minimum degree on the
+    symmetric stencil pattern (A^T + A)."""
+    return splu(_shifted_matrix(opmat, delta), permc_spec="MMD_AT_PLUS_A")
+
+
 def _backward_error(weak, mass, lam, x):
     """Normwise backward error |Kx - lam Mx| / ((|K| + |lam| |M|) |x|) of an
     eigenpair of the pencil (K, M), in the max norm."""
@@ -443,8 +471,8 @@ def _principal(weak, mass, factor, trans, delta, tol, max_iters):
             vec = vec / vec[int(np.argmax(np.abs(vec)))]
             if np.min(vec) > 0.0:
                 break
-        # lambda_1 + delta <= 0 (a Robin q > 0 can do this): the resolvent
-        # is not positive and its dominant eigenvalue is another one
+        # lambda_1 + delta <= 0: the resolvent is not positive and its
+        # dominant eigenvalue is another one
         delta = 4.0 * delta + abs(1.0 / xi)
     else:
         raise IterationFailureError("could not find a positivity-improving "
@@ -462,27 +490,26 @@ def principal_eigenvalue(opmat, tol=1e-13, max_iters=10000):
     """Principal eigenvalue, eigenfunction and adjoint eigenvalue.
 
     Shift-invert Arnoldi (ARPACK, ``tol`` and ``max_iters`` passed on) on
-    the positive resolvent (K + delta M)^{-1} M, with delta chosen so that
-    c + delta > 0 and enlarged while the dominant eigenvalue xi is not
-    real and positive with a one-signed eigenvector; then lambda_1 =
-    1/xi - delta. K + delta M is factorized once and its transposed solves
-    give the adjoint eigenvalue, which for a symmetric pencil is lambda_1
-    itself. A constant eigenfunction is recognised before any solve. The
-    eigenpair must meet a backward error of 1e-12, else
-    IterationFailureError. ``iterations`` counts the forward resolvent
-    applications.
+    the positive resolvent (K + delta M)^{-1} M, with delta from ``_shift``
+    (c + delta > 0, with room for a Robin q > 0) and enlarged while the
+    dominant eigenvalue xi is not real and positive with a one-signed
+    eigenvector; then lambda_1 = 1/xi - delta. K + delta M is factorized
+    once (``_factor``) and its transposed solves give the adjoint
+    eigenvalue, which for a symmetric pencil is lambda_1 itself. A
+    constant eigenfunction is recognised before any solve. The eigenpair
+    must meet a backward error of 1e-12, else IterationFailureError.
+    ``iterations`` counts the forward resolvent applications.
     """
     factors = {}     # the factor of the latest shift, which the adjoint reuses
 
     def factor(delta):
         if delta not in factors:
             factors.clear()
-            factors[delta] = splu(_shifted_matrix(opmat, delta))
+            factors[delta] = _factor(opmat, delta)
         return factors[delta]
 
-    delta = max(0.0, -float(np.min(opmat.c))) + 1.0
     lam, vec, applications, delta = _principal(
-        opmat.weak, opmat.mass, factor, "N", delta, tol, max_iters)
+        opmat.weak, opmat.mass, factor, "N", _shift(opmat), tol, max_iters)
     if opmat.symmetric:
         lam_adj = lam
     else:
@@ -502,26 +529,28 @@ def principal_eigenvalue(opmat, tol=1e-13, max_iters=10000):
 
 
 def symmetric_spectrum(opmat, count):
-    """Lowest eigenvalues of a symmetric pencil (stiffness vs lumped mass)."""
+    """Lowest eigenvalues of a symmetric pencil (stiffness vs lumped mass):
+    ARPACK in shift-invert mode at sigma = -delta, with the inverse of
+    K - sigma M applied through ``_factor``."""
     if not opmat.symmetric:
         raise UnsupportedOperationError(
             "symmetric spectrum requires a symmetric operator kind")
-    K = opmat.weak.tocsc()
-    M = sparse.diags(opmat.mass).tocsc()
-    sigma = min(0.0, float(np.min(opmat.c))) - 1.0
-    if opmat.robin_q is not None and np.max(opmat.robin_q) > 0.0:
-        sigma -= float(np.max(opmat.robin_q)
-                       * np.max(opmat.geometry.metric.boundary_line_element()
-                                / opmat.mass[opmat.geometry.grid.boundary_index]))
+    M = sparse.diags(opmat.mass)
     count = min(count, opmat.n - 2)
     v0 = np.ones(opmat.n)
-    vals = eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0, rng=0,
-                 return_eigenvectors=False)
-    vals = np.sort(vals)
+
+    def lowest(sigma):
+        lu = _factor(opmat, -sigma)
+        opinv = LinearOperator((opmat.n, opmat.n), matvec=lu.solve,
+                               dtype=float)
+        return np.sort(eigsh(opmat.weak, k=count, M=M, sigma=sigma,
+                             which="LM", v0=v0, rng=0, OPinv=opinv,
+                             return_eigenvectors=False))
+
+    sigma = -_shift(opmat)
+    vals = lowest(sigma)
     if vals[0] < sigma:
-        vals = eigsh(K, k=count, M=M, sigma=2.0 * vals[0] - sigma,
-                     which="LM", v0=v0, rng=0, return_eigenvectors=False)
-        vals = np.sort(vals)
+        vals = lowest(2.0 * vals[0] - sigma)
     return vals
 
 

@@ -2,9 +2,11 @@
 
 import csv
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motslab import cli
 
@@ -274,3 +276,22 @@ def test_sweep_workers_byte_identical(tmp_path, command):
     assert code1 == code2
     assert (out1 / "sweep.csv").read_bytes() == \
         (out2 / "sweep.csv").read_bytes()
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 1e300, -1e-300,
+                                0.1, float("inf"), float("nan")])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(_EDGE_FLOATS, st.floats())] * 3),
+                max_size=20))
+def test_array_rows_write_the_same_bytes(rows):
+    # a float array takes the one-format path, a list of rows goes through
+    # csv.writer and _fmt; both must give the same file
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("a.csv", "b.csv")]
+        cli._write_csv(paths[0], ["u", "v", "phi"],
+                       np.array(rows, dtype=float).reshape(-1, 3))
+        cli._write_csv(paths[1], ["u", "v", "phi"], rows)
+        a, b = (open(p, "rb").read() for p in paths)
+    assert a == b

@@ -501,12 +501,12 @@ def test_factor_input_has_the_grid_pattern():
 
 
 def test_one_signed_check_with_positive_robin_q():
-    # q = 1 > 0 on the ball-support flat disk, so the default shift leaves
+    # q = 1 > 0 on the ball-support flat disk. A shift of 1 leaves
     # lambda_1 + delta < 0; at 32x64 the dominant xi of that resolvent is
     # real and positive but belongs to lambda = -0.0016, whose eigenvector
-    # changes sign, and only the one-signed test rejects it. The principal
-    # eigenvalue is -k^2 with k I1(k) = q I0(k) (boundary closure of first
-    # order, hence the tolerance).
+    # changes sign, and only the one-signed test rejects it and enlarges
+    # the shift. The principal eigenvalue is -k^2 with k I1(k) = q I0(k)
+    # (boundary closure of first order, hence the tolerance).
     from scipy.optimize import brentq
     from scipy.special import i0, i1
 
@@ -514,7 +514,83 @@ def test_one_signed_check_with_positive_robin_q():
     ball = disk_geom(32, surfaces.BallSupport(1.0))
     q = robin_coefficient(ball, spectra.Q_FREE)
     assert np.max(np.abs(q - 1.0)) < 1e-12
+    op = assemble(OperatorSpec(spectra.MOTS_L, ball, bc=spectra.BC_ROBIN,
+                               q_source=spectra.Q_FREE))
+    lam, vec, _, delta = spectra._principal(
+        op.weak, op.mass, lambda d: spectra._factor(op, d), "N", 1.0,
+        1e-13, 10000)
+    assert delta > 1.0
+    assert np.min(vec) > 0.0
+    assert abs(lam + k * k) < 5e-3
+    res = principal_eigenvalue(op)
+    assert res.positive and abs(res.lambda1 - lam) < 1e-12
+
+
+def count_factors(monkeypatch):
+    calls = []
+    factor = spectra.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "splu", counting)
+    return calls
+
+
+def test_positive_robin_q_shift_factors_once(monkeypatch):
+    # the first shift leaves room for the Robin boundary term q dl / M, so
+    # the ball-support disk (q = 1) needs no second shift and no second LU
+    calls = count_factors(monkeypatch)
+    ball = disk_geom(32, surfaces.BallSupport(1.0))
     res = principal_eigenvalue(assemble(OperatorSpec(
         spectra.MOTS_L, ball, bc=spectra.BC_ROBIN, q_source=spectra.Q_FREE)))
     assert res.positive
-    assert abs(res.lambda1 + k * k) < 5e-3
+    assert len(calls) == 1
+
+
+def test_minimum_degree_factor_fill():
+    # minimum degree on the symmetric stencil pattern: 631k entries in
+    # L + U at 64x128, against 1.16M for the column ordering COLAMD
+    op = assemble(OperatorSpec(spectra.MOTS_L,
+                               pg_sphere_geom(64, 1.0, (0.4, 0.0, 0.0))))
+    assert spectra._factor(op, spectra._shift(op)).nnz <= 700_000
+
+
+def test_symmetric_spectrum_factors_through_the_shared_helper(monkeypatch):
+    # eigsh gets the shift-inverse from spectra's own factor: one splu per
+    # shift, and the value of the solver that factorized inside eigsh
+    calls = count_factors(monkeypatch)
+    op = assemble(OperatorSpec(spectra.MOTS_LS,
+                               pg_sphere_geom(16, 1.0, (0.4, 0.0, 0.0))))
+    lam = symmetric_spectrum(op, 1)[0]
+    assert len(calls) == 1
+    assert abs(lam - 0.36775264446550615) <= 1e-12 * lam
+
+    # a shift above the lowest eigenvalue (0) of -Laplace on the round
+    # sphere makes the first solve land below sigma and retry once
+    calls.clear()
+    geom = unit_sphere_geom(16)
+    op = assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
+                               c_field=np.zeros(geom.grid.shape)))
+    monkeypatch.setattr(spectra, "_shift", lambda opmat: -0.9)
+    vals = symmetric_spectrum(op, 1)
+    assert len(calls) == 2
+    assert abs(vals[0]) < 1e-10
+
+
+def test_symmetric_spectrum_agrees_with_principal_eigenvalue():
+    # two solvers on one factorization: Lanczos (eigsh) and Arnoldi with
+    # the backward-error gate agree on the lowest eigenvalue of Ls and of
+    # the G-quantity potential of the H-stability topology audit
+    from motslab import audits
+
+    near = pg_sphere_geom(32, 1.0, (0.4, 0.0, 0.0))
+    far = pg_sphere_geom(32, 4.1, (0.45, 0.0, 0.0))
+    pot = (far.K + far.theta_p / (2.0 * far.theta_m) * far.chihat_m2
+           - audits.compute_G_quantity(far))
+    for spec in (OperatorSpec(spectra.MOTS_LS, near),
+                 OperatorSpec(spectra.CUSTOM_SYMMETRIC, far, c_field=pot)):
+        op = assemble(spec)
+        lam = principal_eigenvalue(op).lambda1
+        assert abs(symmetric_spectrum(op, 1)[0] - lam) <= 1e-12 * abs(lam)

@@ -251,10 +251,7 @@ def audit_growth_bounds(geom, a, c=None, q_field=None, x0_node=0,
                                   geom.grid.shape)
         pot = a * geom.K - q_field
     op = spectra.assemble(spectra.OperatorSpec(
-        spectra.CUSTOM_SYMMETRIC, geom, c_field=pot,
-        bc=spectra.BC_CLOSED if geom.grid.topology == grids.SPHERE
-        else spectra.BC_ROBIN,
-        q_source=spectra.Q_FREE))
+        spectra.CUSTOM_SYMMETRIC, geom, c_field=pot))
     lam1 = float(spectra.symmetric_spectrum(op, 1)[0])
     flags = [HypothesisFlag("operator_nonnegative", lam1 >= -stab_tol, lam1)]
 
@@ -314,9 +311,7 @@ def audit_theorem_481(geom, data=None, stab_tol=STAB_TOL):
     min_g = float(np.min(gfield))
     pot = geom.K + geom.theta_p / (2.0 * geom.theta_m) * geom.chihat_m2 - gfield
     op = spectra.assemble(spectra.OperatorSpec(
-        spectra.CUSTOM_SYMMETRIC, geom, c_field=pot,
-        bc=spectra.BC_CLOSED if geom.grid.topology == grids.SPHERE
-        else spectra.BC_ROBIN, q_source=spectra.Q_FREE))
+        spectra.CUSTOM_SYMMETRIC, geom, c_field=pot))
     lam1 = float(spectra.symmetric_spectrum(op, 1)[0])
 
     min_tm = float(np.min(np.abs(geom.theta_m)))

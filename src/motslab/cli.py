@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import audits, grids, initialdata as idata, spectra, surfaces
-from .errors import InvalidInputError, MotslabError
+from .errors import InvalidInputError, MotslabError, TopologyError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -146,17 +146,19 @@ _OPERATORS = {
 
 
 def resolve_bc(text):
+    """Robin source and contact angle of a ``--bc`` word; (None, None) for
+    ``closed``."""
     text = (text or "closed").strip()
     if text == "closed":
-        return spectra.BC_CLOSED, spectra.Q_FREE, None
+        return None, None
     if text.startswith("robin"):
         _, _, rest = text.partition(":")
         if rest == "free" or rest == "":
-            return spectra.BC_ROBIN, spectra.Q_FREE, None
+            return spectra.Q_FREE, None
         if rest == "sym":
-            return spectra.BC_ROBIN, spectra.Q_SYMMETRIZED, None
+            return spectra.Q_SYMMETRIZED, None
         if rest.startswith("gamma="):
-            return spectra.BC_ROBIN, spectra.Q_CAPILLARY, float(rest[6:])
+            return spectra.Q_CAPILLARY, float(rest[6:])
     raise ValueError(f"unknown boundary condition {text!r}")
 
 
@@ -287,8 +289,12 @@ _EIGEN_HEADER = ["data", "surface", "grid", "operator", "bc", "lambda1",
 
 def run_eigen(cfg):
     _, geom = _geometry(cfg)
-    bc, q_source, gamma = resolve_bc(cfg.bc)
-    spec = spectra.OperatorSpec(_OPERATORS[cfg.operator], geom, bc=bc,
+    q_source, gamma = resolve_bc(cfg.bc)
+    if (q_source is None) != (geom.grid.topology == grids.SPHERE):
+        raise TopologyError("closed problems require sphere topology"
+                            if q_source is None else
+                            "Robin problems require disk topology")
+    spec = spectra.OperatorSpec(_OPERATORS[cfg.operator], geom,
                                 q_source=q_source, gamma=gamma,
                                 qbar_variant=cfg.qbar)
     result = spectra.principal_eigenvalue(spectra.assemble(spec))

@@ -190,10 +190,10 @@ def d_u4(grid, f, parity=1.0):
     out = np.empty_like(f)
     h12 = 12.0 * grid.du
     n = grid.n_u
+    core = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / h12
     if grid.topology == SPHERE:
-        out[:] = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / h12
+        out[:] = core
     else:
-        core = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / h12
         out[: n - 2] = core
         h2 = 2.0 * grid.du
         out[-2] = (f[-1] - f[-3]) / h2

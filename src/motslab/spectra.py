@@ -1,8 +1,10 @@
 """Stability operators of MOTS and H-stable surfaces, and their spectra.
 
 The elliptic operators all share the shape L = -Laplace + 2 <W, grad .> +
-c(x), closed on the sphere or with a Robin condition d/dnu phi = q phi on
-the disk boundary. Assembly is in weak form: the -Laplace block is the
+c(x), with (c, W) per kind from the one definition in ``surfaces`` that
+the first-variation formulas also apply. The surface decides the boundary
+condition: closed on the sphere, Robin d/dnu phi = q phi on the disk
+boundary. Assembly is in weak form: the -Laplace block is the
 discrete Dirichlet energy, a compact 9-point stencil on the (u, v) chart
 in which the faces between rings carry the u-u coefficient, the faces
 within rings the v-v coefficient, and the two face families share the
@@ -27,8 +29,8 @@ degree on the pattern of A^T + A. The pattern is symmetric, so this
 ordering roughly halves the fill of the column ordering (COLAMD) meant
 for unsymmetric patterns. The principal eigenvalue and the lowest
 eigenvalues of a symmetric pencil (``eigsh``, handed the factor's solve
-as its shift-inverse) share the shift ``_shift`` and this factor; no
-solver factorizes on its own.
+as its shift-inverse) share the shift ``_shift`` and this factor, made
+once per shift (``_factors``); no solver factorizes on its own.
 """
 
 from dataclasses import dataclass, field
@@ -57,9 +59,6 @@ HSTAB_NORMAL = "HStabNormal"
 HSTAB_MINUS_LMINUS = "HStabMinusLminus"
 CUSTOM_SYMMETRIC = "CustomSymmetric"
 
-BC_CLOSED = "closed"
-BC_ROBIN = "robin"
-
 Q_FREE = "free"
 Q_CAPILLARY = "capillary"
 Q_SYMMETRIZED = "sym"
@@ -67,37 +66,22 @@ Q_SYMMETRIZED = "sym"
 
 @dataclass
 class OperatorSpec:
-    """Selection of operator kind, boundary condition, and parameters."""
+    """Selection of operator kind and parameters. The boundary condition
+    follows the surface: closed on a sphere; on a disk, Robin with the q
+    that ``q_source`` (and ``gamma``) select."""
 
     kind: str
     geometry: surfaces.SurfaceGeometry
-    bc: str = BC_CLOSED
     q_source: str = Q_FREE
     gamma: float | None = None
     qbar_variant: str = "proof"
     c_field: np.ndarray | None = None     # CustomSymmetric only
 
-    def validate(self):
-        topo = self.geometry.grid.topology
-        if self.bc == BC_CLOSED and topo != grids.SPHERE:
-            raise TopologyError("closed problems require sphere topology")
-        if self.bc == BC_ROBIN and topo != grids.DISK:
-            raise TopologyError("Robin problems require disk topology")
-        if self.bc == BC_ROBIN and self.q_source == Q_CAPILLARY:
-            if self.gamma is None:
-                raise ValueError("capillary Robin data requires gamma")
-            if not 1e-3 < self.gamma < np.pi - 1e-3:
-                raise ValueError("gamma must lie in (0, pi) away from the "
-                                 "endpoints by 1e-3")
-
 
 def mots_spec(geometry, kind=MOTS_L):
-    """The MOTS operator of ``kind`` (MOTS_L or MOTS_LS) for the surface's
-    topology: closed on the sphere; on the disk, Robin with the free
-    boundary q for L and the symmetrized q for L_s."""
-    if geometry.grid.topology == grids.SPHERE:
-        return OperatorSpec(kind, geometry, bc=BC_CLOSED)
-    return OperatorSpec(kind, geometry, bc=BC_ROBIN,
+    """The MOTS operator of ``kind`` (MOTS_L or MOTS_LS): on the disk its
+    Robin q is the free boundary q for L and the symmetrized q for L_s."""
+    return OperatorSpec(kind, geometry,
                         q_source=Q_SYMMETRIZED if kind == MOTS_LS else Q_FREE)
 
 
@@ -170,43 +154,30 @@ def _duc_matrix(grid, boundary_points=3):
         shape=(grid.n_nodes, grid.n_nodes))
 
 
-def _u_face_ops(grid):
-    """Compact difference and averaging maps onto u-faces (between rings)."""
-    ids = _node_ids(grid)
-    n_u, n_v = grid.shape
-    nf = (n_u - 1) * n_v
+def _face_ops(plus, minus, h, n_nodes):
+    """Compact difference (plus - minus) / h and averaging maps from the
+    nodes onto the faces between the node pairs (plus, minus)."""
+    nf = plus.size
     fid = np.arange(nf)
-    left = ids[:-1].ravel()
-    right = ids[1:].ravel()
+    idx = (np.concatenate([fid, fid]), np.concatenate([plus, minus]))
     D = sparse.csr_matrix(
-        (np.concatenate([np.full(nf, 1.0 / grid.du),
-                         np.full(nf, -1.0 / grid.du)]),
-         (np.concatenate([fid, fid]), np.concatenate([right, left]))),
-        shape=(nf, grid.n_nodes))
-    Avg = sparse.csr_matrix(
-        (np.full(2 * nf, 0.5),
-         (np.concatenate([fid, fid]), np.concatenate([right, left]))),
-        shape=(nf, grid.n_nodes))
+        (np.concatenate([np.full(nf, 1.0 / h), np.full(nf, -1.0 / h)]), idx),
+        shape=(nf, n_nodes))
+    Avg = sparse.csr_matrix((np.full(2 * nf, 0.5), idx), shape=(nf, n_nodes))
     return D, Avg
+
+
+def _u_face_ops(grid):
+    """Face maps onto u-faces (between rings)."""
+    ids = _node_ids(grid)
+    return _face_ops(ids[1:].ravel(), ids[:-1].ravel(), grid.du, grid.n_nodes)
 
 
 def _v_face_ops(grid):
-    """Compact difference and averaging maps onto v-faces (within rings)."""
+    """Face maps onto v-faces (within rings)."""
     ids = _node_ids(grid)
-    n = grid.n_nodes
-    fid = np.arange(n)
-    here = ids.ravel()
-    nxt = np.roll(ids, -1, axis=1).ravel()
-    D = sparse.csr_matrix(
-        (np.concatenate([np.full(n, 1.0 / grid.dv),
-                         np.full(n, -1.0 / grid.dv)]),
-         (np.concatenate([fid, fid]), np.concatenate([nxt, here]))),
-        shape=(n, n))
-    Avg = sparse.csr_matrix(
-        (np.full(2 * n, 0.5),
-         (np.concatenate([fid, fid]), np.concatenate([nxt, here]))),
-        shape=(n, n))
-    return D, Avg
+    return _face_ops(np.roll(ids, -1, axis=1).ravel(), ids.ravel(), grid.dv,
+                     grid.n_nodes)
 
 
 def _dirichlet_energy(geometry):
@@ -287,6 +258,9 @@ def robin_coefficient(geometry, q_source, gamma=None):
         if gamma is None:
             raise ValueError("capillary Robin data requires gamma")
         gamma = float(gamma)
+        if not 1e-3 < gamma < np.pi - 1e-3:
+            raise ValueError("gamma must lie in (0, pi) away from the "
+                             "endpoints by 1e-3")
         return (-np.cos(gamma) / np.sin(gamma) * b.A_nunu
                 + b.Pi_nubar(gamma) / np.sin(gamma))
     if q_source == Q_SYMMETRIZED:
@@ -296,47 +270,42 @@ def robin_coefficient(geometry, q_source, gamma=None):
     raise ValueError(f"unknown Robin source {q_source!r}")
 
 
-def _zeroth_and_drift(spec):
-    geom = spec.geometry
-    if spec.kind == MOTS_L:
-        return geom.divW - geom.W2 + geom.Q, geom.W_cov
-    if spec.kind == MOTS_LS:
-        return geom.Q, None
-    if spec.kind == HSTAB_NORMAL:
-        if np.min(geom.H) <= 0.0:
-            raise UnsupportedOperationError(
-                "the normal-direction H-stability operator requires H > 0")
-        ratio = geom.P / geom.H
-        c = (0.5 * (geom.R_S - 2.0 * geom.mu - geom.trk**2 + geom.absk2
-                    - geom.absA2 - geom.H**2)
-             - ratio * (-geom.J_N + geom.divW + geom.H * geom.kNN
-                        - geom.A_dot_kS))
-        return c, -ratio[..., None] * geom.W_cov
-    if spec.kind == HSTAB_MINUS_LMINUS:
-        qb = surfaces.qbar_potential(geom, spec.qbar_variant)
-        return geom.divW - geom.W2 + qb, geom.W_cov
-    if spec.kind == CUSTOM_SYMMETRIC:
-        if spec.c_field is None:
-            raise ValueError("CustomSymmetric requires c_field")
-        return np.asarray(spec.c_field, dtype=float), None
-    raise ValueError(f"unknown operator kind {spec.kind!r}")
+def _custom_coefficients(spec):
+    if spec.c_field is None:
+        raise ValueError("CustomSymmetric requires c_field")
+    return spec.c_field, None
+
+
+# zeroth-order coefficient c and drift covector of each operator kind
+_COEFFICIENTS = {
+    MOTS_L: lambda spec: surfaces.mots_coefficients(spec.geometry),
+    MOTS_LS: lambda spec: surfaces.symmetrized_coefficients(spec.geometry),
+    HSTAB_NORMAL: lambda spec: surfaces.hstab_normal_coefficients(
+        spec.geometry),
+    HSTAB_MINUS_LMINUS: lambda spec: surfaces.hstab_minus_lminus_coefficients(
+        spec.geometry, spec.qbar_variant),
+    CUSTOM_SYMMETRIC: _custom_coefficients,
+}
 
 
 def assemble(spec):
-    """Assemble the weak-form operator pencil for an OperatorSpec."""
-    spec.validate()
+    """Assemble the weak-form operator pencil for an OperatorSpec: closed
+    on a sphere, with the Robin boundary term on a surface with boundary."""
     geom = spec.geometry
     grid = geom.grid
-    c2d, drift_cov = _zeroth_and_drift(spec)
+    robin_q = None
+    if geom.boundary is not None:
+        robin_q = robin_coefficient(geom, spec.q_source, spec.gamma)
+    if spec.kind not in _COEFFICIENTS:
+        raise ValueError(f"unknown operator kind {spec.kind!r}")
+    c2d, drift_cov = _COEFFICIENTS[spec.kind](spec)
     c = np.asarray(c2d, dtype=float).ravel()
     mass = geom.metric.dmu.ravel()
 
     K = _dirichlet_energy(geom) + sparse.diags(c * mass)
 
     warnings = []
-    robin_q = None
-    if spec.bc == BC_ROBIN:
-        robin_q = robin_coefficient(geom, spec.q_source, spec.gamma)
+    if robin_q is not None:
         dl = geom.metric.boundary_line_element()
         bid = grid.boundary_index
         K = K - sparse.csr_matrix(
@@ -422,6 +391,20 @@ def _factor(opmat, delta):
     return splu(_shifted_matrix(opmat, delta), permc_spec="MMD_AT_PLUS_A")
 
 
+def _factors(opmat):
+    """``factor(delta)``: the ``_factor`` of K + delta M, made once per shift
+    and held until another shift is asked for."""
+    held = {}
+
+    def factor(delta):
+        if delta not in held:
+            held.clear()
+            held[delta] = _factor(opmat, delta)
+        return held[delta]
+
+    return factor
+
+
 def _backward_error(weak, mass, lam, x):
     """Normwise backward error |Kx - lam Mx| / ((|K| + |lam| |M|) |x|) of an
     eigenpair of the pencil (K, M), in the max norm."""
@@ -500,14 +483,7 @@ def principal_eigenvalue(opmat, tol=1e-13, max_iters=10000):
     must meet a backward error of 1e-12, else IterationFailureError.
     ``iterations`` counts the forward resolvent applications.
     """
-    factors = {}     # the factor of the latest shift, which the adjoint reuses
-
-    def factor(delta):
-        if delta not in factors:
-            factors.clear()
-            factors[delta] = _factor(opmat, delta)
-        return factors[delta]
-
+    factor = _factors(opmat)
     lam, vec, applications, delta = _principal(
         opmat.weak, opmat.mass, factor, "N", _shift(opmat), tol, max_iters)
     if opmat.symmetric:
@@ -528,6 +504,28 @@ def principal_eigenvalue(opmat, tol=1e-13, max_iters=10000):
         warnings=list(opmat.warnings))
 
 
+def _lowest(opmat, count, factor, sigma):
+    """Lowest ``count`` eigenvalues of a symmetric pencil by ARPACK in
+    shift-invert mode at ``sigma`` over ``factor(-sigma)``, retried once at
+    2 lambda_min - sigma if they land below sigma; and the final sigma."""
+    M = sparse.diags(opmat.mass)
+    count = min(count, opmat.n - 2)
+    v0 = np.ones(opmat.n)
+
+    def lowest(sigma):
+        opinv = LinearOperator((opmat.n, opmat.n),
+                               matvec=factor(-sigma).solve, dtype=float)
+        return np.sort(eigsh(opmat.weak, k=count, M=M, sigma=sigma,
+                             which="LM", v0=v0, rng=0, OPinv=opinv,
+                             return_eigenvectors=False))
+
+    vals = lowest(sigma)
+    if vals[0] < sigma:
+        sigma = 2.0 * vals[0] - sigma
+        vals = lowest(sigma)
+    return vals, sigma
+
+
 def symmetric_spectrum(opmat, count):
     """Lowest eigenvalues of a symmetric pencil (stiffness vs lumped mass):
     ARPACK in shift-invert mode at sigma = -delta, with the inverse of
@@ -535,33 +533,20 @@ def symmetric_spectrum(opmat, count):
     if not opmat.symmetric:
         raise UnsupportedOperationError(
             "symmetric spectrum requires a symmetric operator kind")
-    M = sparse.diags(opmat.mass)
-    count = min(count, opmat.n - 2)
-    v0 = np.ones(opmat.n)
-
-    def lowest(sigma):
-        lu = _factor(opmat, -sigma)
-        opinv = LinearOperator((opmat.n, opmat.n), matvec=lu.solve,
-                               dtype=float)
-        return np.sort(eigsh(opmat.weak, k=count, M=M, sigma=sigma,
-                             which="LM", v0=v0, rng=0, OPinv=opinv,
-                             return_eigenvectors=False))
-
-    sigma = -_shift(opmat)
-    vals = lowest(sigma)
-    if vals[0] < sigma:
-        vals = lowest(2.0 * vals[0] - sigma)
-    return vals
+    return _lowest(opmat, count, _factors(opmat), -_shift(opmat))[0]
 
 
 def morse_index(opmat, tol_index=None):
-    """Number of negative eigenvalues of the symmetrized stability form."""
+    """Number of negative eigenvalues of the symmetrized stability form,
+    asking for twice as many eigenvalues until one is nonnegative; every
+    round starts at the last round's shift and reuses its factor."""
     if not opmat.symmetric:
         raise UnsupportedOperationError("Morse index requires MotsLs or a "
                                         "symmetric custom operator")
+    factor, sigma = _factors(opmat), -_shift(opmat)
     k = 8
     while True:
-        vals = symmetric_spectrum(opmat, k)
+        vals, sigma = _lowest(opmat, k, factor, sigma)
         scale = max(1.0, float(np.max(np.abs(vals))))
         tol = 1e-8 * scale if tol_index is None else tol_index
         if vals[-1] >= -tol or k >= opmat.n - 2:
@@ -589,10 +574,9 @@ def stability_verdict(geometry, kind=MOTS_L, theta_tol=1e-6, tol=1e-8):
     max_tp = float(np.max(np.abs(geometry.theta_p)))
     if kind == MOTS_L and max_tp >= theta_tol:
         raise NotAMOTSError(max_tp, theta_tol)
-    q_max = None
-    if geometry.grid.topology != grids.SPHERE:
-        q_max = float(np.max(robin_coefficient(geometry, Q_FREE)))
-    res_L = principal_eigenvalue(assemble(mots_spec(geometry, MOTS_L)))
+    op_L = assemble(mots_spec(geometry, MOTS_L))
+    q_max = None if op_L.robin_q is None else float(np.max(op_L.robin_q))
+    res_L = principal_eigenvalue(op_L)
     res_Ls = principal_eigenvalue(assemble(mots_spec(geometry, MOTS_LS)))
     comparison = None
     if q_max is None or q_max <= 0.0:

@@ -9,9 +9,11 @@ fundamental form, null expansions and null second fundamental forms, the
 connection one-form W, the potential Q of the stability operator, and the
 boundary data of capillary/free-boundary configurations.
 
-A finite-difference variation oracle cross-checks the first-variation
-formulas of the null expansion and of |H|^2 against recomputed geometry of
-perturbed surfaces.
+Each stability operator -Laplace + 2 <drift, grad .> + c has its one
+definition of (c, drift) here: ``spectra.assemble`` factors it and the
+first-variation formulas of theta_+ and |H|^2 apply it in strong form. A
+finite-difference variation oracle checks those formulas against
+recomputed geometry of perturbed surfaces.
 """
 
 from dataclasses import dataclass, replace
@@ -652,42 +654,35 @@ def hawking_energy(geom):
                  * (1.0 + integral / (16.0 * np.pi)))
 
 
-def w_pairing(geom, phi, order=4):
-    """<W, grad phi> with the induced metric."""
-    gu, gv = grids.gradient(geom.metric, phi, order=order)
-    return geom.W_cov[..., 0] * gu + geom.W_cov[..., 1] * gv
+# ---------------------------------------------------------------------------
+# stability operators -Laplace + 2 <drift, grad .> + c: their (c, drift)
 
 
-def delta_theta_plus(geom, phi):
-    """First variation of theta_+ under the normal deformation phi N.
-
-    The differential terms are evaluated with the internal fourth-order
-    stencils so the oracle comparison is dominated by the finite
-    difference in the variation parameter, not by formula truncation.
-    """
-    lap = grids.laplace_beltrami(geom.metric, phi, order=4)
-    zeroth = (geom.Q + geom.divW - geom.W2 + geom.theta_p * geom.trk
-              - 0.5 * geom.theta_p**2)
-    return -lap + 2.0 * w_pairing(geom, phi) + zeroth * phi
+def mots_coefficients(geom):
+    """c = Q + div W - |W|^2 and drift W of the MOTS stability operator L."""
+    return geom.divW - geom.W2 + geom.Q, geom.W_cov
 
 
-def delta_H2_normal(geom, phi):
-    """First variation of |H|^2 = H^2 - P^2 under phi N (requires H > 0)."""
+def symmetrized_coefficients(geom):
+    """c = Q and no drift: the symmetrized MOTS operator L_s."""
+    return geom.Q, None
+
+
+def hstab_normal_coefficients(geom):
+    """c and drift -(P/H) W of the normal H-stability operator (H > 0)."""
     if np.min(geom.H) <= 0.0:
         raise UnsupportedOperationError(
-            "variation of |H|^2 in the normal direction requires H > 0")
-    lap = grids.laplace_beltrami(geom.metric, phi, order=4)
+            "the normal-direction H-stability operator requires H > 0")
     ratio = geom.P / geom.H
-    zeroth = 0.5 * (geom.R_S - 2.0 * geom.mu - geom.trk**2 + geom.absk2
-                    - geom.absA2 - geom.H**2)
-    extra = -ratio * (-geom.J_N + geom.divW + geom.H * geom.kNN
-                      - geom.A_dot_kS)
-    return 2.0 * geom.H * (-lap + (zeroth + extra) * phi
-                           - 2.0 * ratio * w_pairing(geom, phi))
+    c = (0.5 * (geom.R_S - 2.0 * geom.mu - geom.trk**2 + geom.absk2
+                - geom.absA2 - geom.H**2)
+         - ratio * (-geom.J_N + geom.divW + geom.H * geom.kNN
+                    - geom.A_dot_kS))
+    return c, -ratio[..., None] * geom.W_cov
 
 
 def qbar_potential(geom, variant="proof"):
-    """The potential of the -l_- variation of |H|^2.
+    """The potential of the -l_- variation of |H|^2 (requires theta_- != 0).
 
     The "lemma" and "proof" variants carry the coefficient pairs
     (1/2 theta- theta+, |chi_-|^2) and (3/4 theta- theta+, |chihat_-|^2).
@@ -698,6 +693,8 @@ def qbar_potential(geom, variant="proof"):
     if not geom.has_extension:
         raise UnsupportedOperationError(
             "Qbar requires a spacetime extension on the initial data set")
+    if np.min(np.abs(geom.theta_m)) < 1e-12:
+        raise UnsupportedOperationError("theta_- vanishes somewhere")
     base = 0.5 * geom.R_S - 0.5 * geom.G_lplm
     ratio = geom.theta_p / (2.0 * geom.theta_m)
     if variant == "proof":
@@ -709,15 +706,38 @@ def qbar_potential(geom, variant="proof"):
     raise ValueError(f"unknown qbar variant {variant!r}")
 
 
+def hstab_minus_lminus_coefficients(geom, variant="proof"):
+    """c = div W - |W|^2 + Qbar and drift W: the -l_- H-stability operator."""
+    return geom.divW - geom.W2 + qbar_potential(geom, variant), geom.W_cov
+
+
+def _strong_form(geom, coefficients, phi):
+    """-Laplace phi + 2 <drift, grad phi> + c phi for (c, drift). Fourth-order
+    stencils keep truncation below the oracle's finite-difference error."""
+    c, drift = coefficients
+    gu, gv = grids.gradient(geom.metric, phi, order=4)
+    return (-divergence(geom.metric, (gu, gv), order=4)
+            + 2.0 * (drift[..., 0] * gu + drift[..., 1] * gv) + c * phi)
+
+
+def delta_theta_plus(geom, phi):
+    """First variation of theta_+ under phi N: L phi (``mots_coefficients``)
+    plus the off-MOTS term (theta_+ tr k - theta_+^2 / 2) phi."""
+    return (_strong_form(geom, mots_coefficients(geom), phi)
+            + (geom.theta_p * geom.trk - 0.5 * geom.theta_p**2) * phi)
+
+
+def delta_H2_normal(geom, phi):
+    """First variation of |H|^2 = H^2 - P^2 under phi N: 2H HStabNormal phi."""
+    return 2.0 * geom.H * _strong_form(geom, hstab_normal_coefficients(geom),
+                                       phi)
+
+
 def delta_H2_minus_lminus(geom, phi, variant="proof"):
-    """First variation of |H|^2 under X = -phi l_- (requires theta_- != 0)."""
-    if np.min(np.abs(geom.theta_m)) < 1e-12:
-        raise UnsupportedOperationError("theta_- vanishes somewhere")
-    lap = grids.laplace_beltrami(geom.metric, phi, order=4)
-    qb = qbar_potential(geom, variant)
-    bracket = (lap - 2.0 * w_pairing(geom, phi)
-               - (geom.divW - geom.W2 + qb) * phi)
-    return 2.0 * geom.theta_m * bracket
+    """First variation of |H|^2 under X = -phi l_-: -2 theta_- times the
+    HStabMinusLminus operator applied to phi."""
+    return -2.0 * geom.theta_m * _strong_form(
+        geom, hstab_minus_lminus_coefficients(geom, variant), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +814,6 @@ def variation_oracle(surface, data, phi, direction, eps_list,
             "the variation oracle requires a radial-graph surface")
     phi = np.broadcast_to(np.asarray(phi, dtype=float), surface.grid.shape)
     geom0 = compute_geometry(surface, data)
-    entries = []
-    formula_fields = {}
 
     if direction == NORMAL_N:
         checks = [("theta_plus", delta_theta_plus(geom0, phi),
@@ -804,10 +822,8 @@ def variation_oracle(surface, data, phi, direction, eps_list,
             checks.append(("H2_normal", delta_H2_normal(geom0, phi),
                            lambda g: g.H**2 - g.P**2))
 
-        def geometries(eps):
-            gp = compute_geometry(displaced_chart(geom0, phi, +eps), data)
-            gm = compute_geometry(displaced_chart(geom0, phi, -eps), data)
-            return gp, gm
+        def slice_at(t):
+            return data
 
     elif direction == MINUS_L_MINUS:
         if np.max(np.abs(phi - phi.flat[0])) > 1e-12:
@@ -822,20 +838,16 @@ def variation_oracle(surface, data, phi, direction, eps_list,
                    lambda g: g.H**2 - g.P**2) for v in variants]
         c = float(phi.flat[0])
 
-        def geometries(eps):
-            gp = compute_geometry(displaced_chart(geom0, phi, +eps),
-                                  data.slice_family(-eps * c))
-            gm = compute_geometry(displaced_chart(geom0, phi, -eps),
-                                  data.slice_family(+eps * c))
-            return gp, gm
+        def slice_at(t):    # the slice the surface displaced by t lies in
+            return data.slice_family(-t * c)
 
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
-    for name, formula, _ in checks:
-        formula_fields[name] = formula
+    entries = []
     for eps in eps_list:
-        gp, gm = geometries(float(eps))
+        gp, gm = (compute_geometry(displaced_chart(geom0, phi, t), slice_at(t))
+                  for t in (float(eps), -float(eps)))
         for name, formula, extract in checks:
             fd = (extract(gp) - extract(gm)) / (2.0 * float(eps))
             dev = float(np.max(np.abs(fd - formula)))
@@ -850,4 +862,5 @@ def variation_oracle(surface, data, phi, direction, eps_list,
         orders[name] = [float(np.log2(seq[i] / seq[i + 1]))
                         if seq[i + 1] > 0 else np.inf
                         for i in range(len(seq) - 1)]
-    return OracleResult(direction, entries, orders, formula_fields)
+    return OracleResult(direction, entries, orders,
+                        {name: formula for name, formula, _ in checks})

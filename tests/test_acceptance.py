@@ -130,7 +130,7 @@ def test_criterion_5_appendix_eigensolver():
     disk = compute_geometry(flat_disk_chart(make_grid(grids.DISK, 64, 128)),
                             idata.minkowski_flat())
     res_d = principal_eigenvalue(assemble(OperatorSpec(
-        spectra.MOTS_LS, disk, bc=spectra.BC_ROBIN, q_source=spectra.Q_FREE)))
+        spectra.MOTS_LS, disk, q_source=spectra.Q_FREE)))
     elapsed = time.perf_counter() - t0
     const_dev = float(np.max(np.abs(res_d.eigenfunction - 1.0)))
     ok = (abs(res.lambda1 - 0.25) < 0.01 * 0.25
@@ -156,9 +156,9 @@ def test_criterion_6_symmetric_comparison():
     disk = compute_geometry(flat_disk_chart(make_grid(grids.DISK, 32, 64)),
                             idata.minkowski_flat())
     cases.append(("disk", lam(assemble(OperatorSpec(
-        spectra.MOTS_L, disk, bc=spectra.BC_ROBIN, q_source=spectra.Q_FREE))),
+        spectra.MOTS_L, disk, q_source=spectra.Q_FREE))),
         lam(assemble(OperatorSpec(
-            spectra.MOTS_LS, disk, bc=spectra.BC_ROBIN,
+            spectra.MOTS_LS, disk,
             q_source=spectra.Q_SYMMETRIZED))), True))
     horizon = compute_geometry(
         sphere_chart(make_grid(grids.SPHERE, 32, 64), 0.5),

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -157,6 +158,20 @@ def test_determinism_byte_identical(tmp_path):
         (out2 / "eigenfunction.csv").read_bytes()
 
 
+@pytest.mark.parametrize("bc, surface, message", [
+    ("closed", "disk:r=1", "closed problems require sphere topology"),
+    ("robin:free", "sphere:r=1", "Robin problems require disk topology"),
+    ("robin:gamma=3.2", "disk:r=1",
+     "gamma must lie in (0, pi) away from the endpoints by 1e-3"),
+])
+def test_bc_must_match_the_surface(tmp_path, capsys, bc, surface, message):
+    code, _ = run(["eigen", "--operator", "L", "--bc", bc, "--data",
+                   "minkowski", "--surface", surface, "--grid", "16x32"],
+                  tmp_path)
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_graph_surface_from_file(tmp_path):
     import numpy as np
     from motslab import grids as g
@@ -293,5 +308,5 @@ def test_array_rows_write_the_same_bytes(rows):
         cli._write_csv(paths[0], ["u", "v", "phi"],
                        np.array(rows, dtype=float).reshape(-1, 3))
         cli._write_csv(paths[1], ["u", "v", "phi"], rows)
-        a, b = (open(p, "rb").read() for p in paths)
+        a, b = (pathlib.Path(p).read_bytes() for p in paths)
     assert a == b

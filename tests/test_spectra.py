@@ -9,7 +9,6 @@ from motslab import grids, initialdata as idata, spectra, surfaces
 from motslab.errors import (
     IterationFailureError,
     NotAMOTSError,
-    TopologyError,
     UnsupportedOperationError,
 )
 from motslab.grids import make_grid
@@ -50,9 +49,8 @@ def neumann_disk_geom(n=32):
 
 def test_row_sums_vanish_on_constants():
     for geom in (unit_sphere_geom(16), neumann_disk_geom(16)):
-        bc = spectra.BC_CLOSED if geom.boundary is None else spectra.BC_ROBIN
-        qsrc = spectra.Q_FREE
-        op = assemble(OperatorSpec(spectra.MOTS_LS, geom, bc=bc, q_source=qsrc))
+        op = assemble(OperatorSpec(spectra.MOTS_LS, geom,
+                                   q_source=spectra.Q_FREE))
         pure = spectra._dirichlet_energy(geom)
         ones = np.ones(op.n)
         assert np.max(np.abs(pure @ ones)) < 1e-10
@@ -148,8 +146,7 @@ def test_dirichlet_energy_symmetric_and_exact_on_constants(eps, coeffs):
 def test_symmetry_of_mots_ls():
     for geom in (unit_sphere_geom(16, idata.hyperboloidal_flat()),
                  neumann_disk_geom(16)):
-        bc = spectra.BC_CLOSED if geom.boundary is None else spectra.BC_ROBIN
-        op = assemble(OperatorSpec(spectra.MOTS_LS, geom, bc=bc,
+        op = assemble(OperatorSpec(spectra.MOTS_LS, geom,
                                    q_source=spectra.Q_SYMMETRIZED))
         gap = sparse.linalg.norm(op.weak - op.weak.T, np.inf)
         scale = sparse.linalg.norm(op.weak, np.inf)
@@ -173,7 +170,7 @@ def test_horizon_potential_reduces_to_curvature():
 
 def test_neumann_disk_principal_eigenvalue_zero():
     geom = neumann_disk_geom(32)
-    op = assemble(OperatorSpec(spectra.MOTS_LS, geom, bc=spectra.BC_ROBIN,
+    op = assemble(OperatorSpec(spectra.MOTS_LS, geom,
                                q_source=spectra.Q_FREE))
     assert op.robin_q is not None and np.max(np.abs(op.robin_q)) < 1e-12
     res = principal_eigenvalue(op)
@@ -287,9 +284,6 @@ def test_robin_capillary_coefficient_and_guards():
     assert np.max(np.abs(q_cap - ball.boundary.Pi_NN)) < 1e-10
     with pytest.raises(ValueError):
         robin_coefficient(ball, spectra.Q_CAPILLARY, gamma=None)
-    with pytest.raises(TopologyError):
-        OperatorSpec(spectra.MOTS_LS, unit_sphere_geom(16),
-                     bc=spectra.BC_ROBIN).validate()
     off = compute_geometry(
         sphere_chart(make_grid(grids.SPHERE, 16, 32), 1.0, (0.4, 0.0, 0.0)),
         idata.schwarzschild_pg(1.0))
@@ -339,7 +333,7 @@ def test_positive_robin_q_warning_recorded():
         flat_disk_chart(make_grid(grids.DISK, 16, 32), 1.0,
                         support=BallSupport(1.0)),
         idata.minkowski_flat())
-    op = assemble(OperatorSpec(spectra.MOTS_L, ball, bc=spectra.BC_ROBIN,
+    op = assemble(OperatorSpec(spectra.MOTS_L, ball,
                                q_source=spectra.Q_FREE))
     assert any("q > 0" in w for w in op.warnings)
     res = principal_eigenvalue(op)
@@ -367,7 +361,7 @@ def test_capillary_robin_bessel_oracle():
     qfield = robin_coefficient(geom, spectra.Q_CAPILLARY, gamma=gamma)
     assert np.max(np.abs(qfield - q)) < 1e-12
     res = principal_eigenvalue(assemble(OperatorSpec(
-        spectra.MOTS_L, geom, bc=spectra.BC_ROBIN,
+        spectra.MOTS_L, geom,
         q_source=spectra.Q_CAPILLARY, gamma=gamma)))
     assert abs(res.lambda1 + k * k) < 1.5e-3
     assert res.positive and res.adjoint_gap < 1e-7
@@ -411,10 +405,8 @@ def _oracle_specs():
             spectra.HSTAB_MINUS_LMINUS, far),
         "Robin free disk": spectra.mots_spec(cylinder, spectra.MOTS_L),
         "q > 0 ball disk": OperatorSpec(spectra.MOTS_L, ball,
-                                        bc=spectra.BC_ROBIN,
                                         q_source=spectra.Q_FREE),
         "capillary disk": OperatorSpec(spectra.MOTS_L, ball,
-                                       bc=spectra.BC_ROBIN,
                                        q_source=spectra.Q_CAPILLARY,
                                        gamma=1.2),
     }
@@ -514,7 +506,7 @@ def test_one_signed_check_with_positive_robin_q():
     ball = disk_geom(32, surfaces.BallSupport(1.0))
     q = robin_coefficient(ball, spectra.Q_FREE)
     assert np.max(np.abs(q - 1.0)) < 1e-12
-    op = assemble(OperatorSpec(spectra.MOTS_L, ball, bc=spectra.BC_ROBIN,
+    op = assemble(OperatorSpec(spectra.MOTS_L, ball,
                                q_source=spectra.Q_FREE))
     lam, vec, _, delta = spectra._principal(
         op.weak, op.mass, lambda d: spectra._factor(op, d), "N", 1.0,
@@ -544,8 +536,20 @@ def test_positive_robin_q_shift_factors_once(monkeypatch):
     calls = count_factors(monkeypatch)
     ball = disk_geom(32, surfaces.BallSupport(1.0))
     res = principal_eigenvalue(assemble(OperatorSpec(
-        spectra.MOTS_L, ball, bc=spectra.BC_ROBIN, q_source=spectra.Q_FREE)))
+        spectra.MOTS_L, ball, q_source=spectra.Q_FREE)))
     assert res.positive
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("c, index", [(-20.0, 25), (-60.0, 69)])
+def test_morse_index_factors_once(monkeypatch, c, index):
+    # the count of eigenvalues asked for doubles (8, 16, ...) at one shift,
+    # and every round reuses the first round's factor
+    calls = count_factors(monkeypatch)
+    geom = unit_sphere_geom(16)
+    op = assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
+                               c_field=np.full(geom.grid.shape, c)))
+    assert morse_index(op) == index
     assert len(calls) == 1
 
 

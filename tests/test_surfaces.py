@@ -336,6 +336,25 @@ def test_variation_oracle_nonzero_w():
     assert devs[1] < 3e-2
 
 
+def test_variation_oracle_drift_term():
+    # PG sphere off the puncture in two directions, where the drift term
+    # 2 <W, grad phi> of the shared operator coefficients is O(0.2): both
+    # the theta_+ and the |H|^2 formula meet the finite difference to a few
+    # 1e-3 at 64x128, while a sign slip in the drift moves them by ~0.4.
+    data = idata.schwarzschild_pg(1.0)
+    grid = make_grid(grids.SPHERE, 64, 128)
+    chart = sphere_chart(grid, 1.5, (0.4, 0.0, 0.3))
+    U, V = grid.meshgrid()
+    phi = 1.0 + 0.3 * np.cos(U) + 0.2 * np.sin(U) * np.cos(V)
+    geom = compute_geometry(chart, data)
+    gu, gv = grids.gradient(geom.metric, phi, order=4)
+    drift = 2.0 * (geom.W_cov[..., 0] * gu + geom.W_cov[..., 1] * gv)
+    assert np.max(np.abs(drift)) > 0.1
+    res = variation_oracle(chart, data, phi, surfaces.NORMAL_N, [5e-4])
+    assert res.max_deviation("theta_plus") < 1e-2
+    assert res.max_deviation("H2_normal") < 4e-2
+
+
 def test_variation_oracle_bumpy_graph():
     # Non-round radial graph in flat data: curvature terms of both the
     # theta_+ and |H|^2 variation formulas against the finite difference.

@@ -8,6 +8,10 @@ failed hypothesis always dominates the margin sign.
 
 Ambient infima are approximated by declared finite sample sets (surface
 nodes, boundary nodes, or collar samples); each report records which.
+
+Every lambda_1 an audit reports comes from ``spectra.principal_eigenvalue``.
+The audits read the surface geometry alone; the collar infimum also
+evaluates the initial data off the surface.
 """
 
 from dataclasses import dataclass, field
@@ -29,11 +33,6 @@ HOLDS = "Holds"
 VIOLATED = "Violated"
 HYPOTHESIS_UNMET = "HypothesisUnmet"
 NOT_APPLICABLE = "NotApplicable"
-
-# default tolerances: max |theta+| of a MOTS, and the most negative lambda1
-# still counted as stable; the audits that use them take them as arguments
-THETA_TOL = 1e-6
-STAB_TOL = 1e-8
 
 
 @dataclass
@@ -63,11 +62,11 @@ class AuditReport:
 
 
 def _finish(theorem_id, lhs, rhs, flags, diagnostics, notes="", extras=None,
-            not_applicable=False, tol_factor=1e-6):
+            not_applicable=False):
     lhs = float(lhs)
     rhs = float(rhs)
     margin = rhs - lhs
-    tol = tol_factor * max(1.0, abs(rhs))
+    tol = 1e-6 * max(1.0, abs(rhs))
     if not_applicable:
         verdict = NOT_APPLICABLE
     elif not all(f.satisfied for f in flags):
@@ -97,7 +96,7 @@ def _lambda1_or_nan(spec):
 # H-stable surface estimates
 
 
-def audit_cy_estimate(geom, data=None):
+def audit_cy_estimate(geom):
     """Hawking-mass type estimate for volume-preserving H-stable spheres:
 
         1 + (1/24pi) int theta+ theta- >= (1/12pi) int (mu + J(N)
@@ -143,7 +142,7 @@ def audit_cy_estimate(geom, data=None):
     return _finish("cy-estimate", lhs, rhs, flags, diagnostics, notes, extras)
 
 
-def audit_hawking_bound(geom, data=None):
+def audit_hawking_bound(geom):
     """Hawking energy bound for H-stable spheres in spacetime:
 
         E_H >= sqrt(|S|)/(48 pi^{3/2}) int G(l+, l-).
@@ -184,9 +183,8 @@ def audit_hawking_bound(geom, data=None):
 # stable MOTS estimates
 
 
-def audit_cohn_vossen(geom, data=None, truncation_note="",
-                      integrand_override=None, dec_override=None,
-                      theta_tol=THETA_TOL, stab_tol=STAB_TOL):
+def audit_cohn_vossen(geom, theta_tol=spectra.THETA_TOL,
+                      stab_tol=spectra.STAB_TOL):
     """Cohn-Vossen type bound for complete non-compact stable MOTS:
 
         int (mu + J(N)) dmu <= 2 pi.
@@ -202,29 +200,23 @@ def audit_cohn_vossen(geom, data=None, truncation_note="",
         lam1 = _lambda1_or_nan(spectra.mots_spec(geom))
     stable = is_mots and np.isfinite(lam1) and lam1 >= -stab_tol
 
-    dec_field = (np.asarray(dec_override, dtype=float)
-                 if dec_override is not None else geom.mu - geom.j_norm)
-    dec_min = float(np.min(dec_field))
+    dec_min = float(np.min(geom.mu - geom.j_norm))
 
     flags = [
         HypothesisFlag("is_mots", is_mots, max_tp),
         HypothesisFlag("stable", stable, lam1),
         HypothesisFlag("dec_strictly_positive", dec_min > 0.0, dec_min),
     ]
-    integrand = (np.broadcast_to(np.asarray(integrand_override, dtype=float),
-                                 geom.grid.shape)
-                 if integrand_override is not None
-                 else geom.mu + geom.J_N)
-    lhs = integrate(geom.metric, integrand)
+    lhs = integrate(geom.metric, geom.mu + geom.J_N)
     notes = ("surface is a compact truncation of the theorem's non-compact "
              "Sigma; the integral is monotone under enlargement for "
-             "nonnegative integrands. " + truncation_note).strip()
+             "nonnegative integrands.")
     return _finish("cohn-vossen", lhs, 2.0 * np.pi, flags, [], notes,
                    extras={"lambda1_L": lam1})
 
 
-def audit_growth_bounds(geom, a, c=None, q_field=None, x0_node=0,
-                        R=None, Rprime=None, stab_tol=STAB_TOL):
+def audit_growth_bounds(geom, a, c=None, q_field=None,
+                        stab_tol=spectra.STAB_TOL):
     """Distance bound and area-growth bound for surfaces with a
     nonnegative operator -Laplace + a K - c (resp. - q).
 
@@ -232,7 +224,9 @@ def audit_growth_bounds(geom, a, c=None, q_field=None, x0_node=0,
         diam <= pi sqrt((1 + 1/(4a-1)) a / c);
     with ``q_field`` given the area-growth estimate is audited:
         (8a^2/(4a-1)) |B(x0,R')|/R^2 + (1 - R'/R)^2 int_B q
-            <= 2 pi a (1 - R'/R)^{2/(1-4a)}.
+            <= 2 pi a (1 - R'/R)^{2/(1-4a)},
+    centred at node 0, with R the distance from it to the boundary on a
+    disk (0.9 of the largest distance on a sphere) and R' = R/2.
     """
     a = float(a)
     if a <= 0.25:
@@ -252,7 +246,7 @@ def audit_growth_bounds(geom, a, c=None, q_field=None, x0_node=0,
         pot = a * geom.K - q_field
     op = spectra.assemble(spectra.OperatorSpec(
         spectra.CUSTOM_SYMMETRIC, geom, c_field=pot))
-    lam1 = float(spectra.symmetric_spectrum(op, 1)[0])
+    lam1 = spectra.principal_eigenvalue(op).lambda1
     flags = [HypothesisFlag("operator_nonnegative", lam1 >= -stab_tol, lam1)]
 
     if q_field is None:
@@ -263,16 +257,12 @@ def audit_growth_bounds(geom, a, c=None, q_field=None, x0_node=0,
         extras = {"lambda1_operator": lam1}
         return _finish("growth-bounds", lhs, rhs, flags, [], notes, extras)
 
-    dist = ball_profile(m, int(x0_node))
-    if R is None:
-        if geom.grid.topology == grids.DISK:
-            R = float(np.min(dist[geom.grid.boundary_index]))
-        else:
-            R = 0.9 * float(np.max(dist[np.isfinite(dist)]))
-    R = float(R)
-    Rp = 0.5 * R if Rprime is None else float(Rprime)
-    if not 0.0 < Rp < R:
-        raise ValueError("need 0 < R' < R")
+    dist = ball_profile(m, 0)
+    if geom.grid.topology == grids.DISK:
+        R = float(np.min(dist[geom.grid.boundary_index]))
+    else:
+        R = 0.9 * float(np.max(dist[np.isfinite(dist)]))
+    Rp = 0.5 * R
     inside = (dist <= Rp).reshape(geom.grid.shape)
     ball_area = float(np.sum(geom.metric.dmu[inside]))
     q_ball = float(np.sum((q_field * geom.metric.dmu)[inside]))
@@ -289,7 +279,7 @@ def audit_growth_bounds(geom, a, c=None, q_field=None, x0_node=0,
 # the scalar G quantity and its topology consequences
 
 
-def compute_G_quantity(geom, data=None):
+def compute_G_quantity(geom):
     """G(Sigma) = -3/4 theta+ theta- + 1/2 G(l+,l-)
     - (theta+ / 2 theta-) G(l-,l-)."""
     if not geom.has_extension:
@@ -301,18 +291,17 @@ def compute_G_quantity(geom, data=None):
             - geom.theta_p / (2.0 * geom.theta_m) * geom.G_lmlm)
 
 
-def audit_theorem_481(geom, data=None, stab_tol=STAB_TOL):
+def audit_theorem_481(geom, stab_tol=spectra.STAB_TOL):
     """Report on the topology consequences of H-stability in the -l_-
     direction: the sign of lambda_1 of the operator
-    -Laplace + K + (theta+/2 theta-) |chihat_-|^2 - G(Sigma),
-    the case constant inf G, and the informational topology claims.
+    -Laplace + K + (theta+/2 theta-) |chihat_-|^2 - G(Sigma), whose
+    potential is ``surfaces.qbar_potential``, the case constant inf G, and
+    the informational topology claims.
     """
-    gfield = compute_G_quantity(geom)
-    min_g = float(np.min(gfield))
-    pot = geom.K + geom.theta_p / (2.0 * geom.theta_m) * geom.chihat_m2 - gfield
+    min_g = float(np.min(compute_G_quantity(geom)))
     op = spectra.assemble(spectra.OperatorSpec(
-        spectra.CUSTOM_SYMMETRIC, geom, c_field=pot))
-    lam1 = float(spectra.symmetric_spectrum(op, 1)[0])
+        spectra.CUSTOM_SYMMETRIC, geom, c_field=surfaces.qbar_potential(geom)))
+    lam1 = spectra.principal_eigenvalue(op).lambda1
 
     min_tm = float(np.min(np.abs(geom.theta_m)))
     lam1_hstab = _lambda1_or_nan(spectra.OperatorSpec(
@@ -364,9 +353,8 @@ def _free_boundary_flags(geom, theta_tol, stab_tol):
     return flags, gamma_dev, res_L
 
 
-def audit_I_sigma(geom, data=None, inf_mu_jn_override=None,
-                  inf_boundary_override=None, theta_tol=THETA_TOL,
-                  stab_tol=STAB_TOL):
+def audit_I_sigma(geom, theta_tol=spectra.THETA_TOL,
+                  stab_tol=spectra.STAB_TOL):
     """Area-boundary functional bound for free boundary stable MOTS:
 
         I(Sigma) = |Sigma| inf (mu + J(N)) + |dSigma| inf (H_dM - <W, nu>)
@@ -385,10 +373,8 @@ def audit_I_sigma(geom, data=None, inf_mu_jn_override=None,
         raise res_L
 
     b = geom.boundary
-    inf_mu = (float(inf_mu_jn_override) if inf_mu_jn_override is not None
-              else float(np.min(geom.mu + geom.J_N)))
-    inf_bd = (float(inf_boundary_override) if inf_boundary_override is not None
-              else float(np.min(b.H_dM - b.W_nu)))
+    inf_mu = float(np.min(geom.mu + geom.J_N))
+    inf_bd = float(np.min(b.H_dM - b.W_nu))
     blen = geom.boundary_length()
     lhs = geom.area * inf_mu + blen * inf_bd
     chi = 1.0
@@ -469,9 +455,8 @@ def audit_index_bounds(genus, boundary_components, index_s, c=None,
                    extras=extras, not_applicable=not_applicable)
 
 
-def audit_diameter(geom, data=None, dec_inf_override=None,
-                   boundary_inf_override=None, theta_tol=THETA_TOL,
-                   stab_tol=STAB_TOL):
+def audit_diameter(geom, theta_tol=spectra.THETA_TOL,
+                   stab_tol=spectra.STAB_TOL):
     """Diameter and area-boundary estimates for stable free boundary MOTS:
 
         diam <= min(2 pi / sqrt(3 inf (mu - |J|)),
@@ -485,10 +470,8 @@ def audit_diameter(geom, data=None, dec_inf_override=None,
     flags.insert(0, HypothesisFlag("free_boundary", gamma_dev <= 1e-6,
                                    gamma_dev))
     b = geom.boundary
-    inf1 = (float(dec_inf_override) if dec_inf_override is not None
-            else float(np.min(geom.mu - geom.j_norm)))
-    inf2 = (float(boundary_inf_override) if boundary_inf_override is not None
-            else float(np.min(b.H_dM - b.W_nu)))
+    inf1 = float(np.min(geom.mu - geom.j_norm))
+    inf2 = float(np.min(b.H_dM - b.W_nu))
     case_i = inf1 > 0.0 and inf2 >= 0.0
     case_ii = inf1 >= 0.0 and inf2 > 0.0
     flags.append(HypothesisFlag("case_i_or_ii", case_i or case_ii,
@@ -528,9 +511,9 @@ def audit_diameter(geom, data=None, dec_inf_override=None,
     return report
 
 
-def collar_infimum(data, geom, zeta, which="dec", steps=5):
+def collar_infimum(data, geom, zeta, which="dec"):
     """Minimum of the requested quantity over the straight-line collar
-    {F + s N : s in [-zeta, zeta]}.
+    {F + s N : s in [-zeta, zeta]}, sampled at 11 equispaced s.
 
     ``which`` selects the dominant-energy margin mu - |J| over the surface
     collar, or H_dM - <W, nu> over the boundary collar (support data
@@ -538,7 +521,7 @@ def collar_infimum(data, geom, zeta, which="dec", steps=5):
     first-order approximation for small zeta).
     """
     zeta = float(zeta)
-    svals = np.linspace(-zeta, zeta, 2 * int(steps) + 1)
+    svals = np.linspace(-zeta, zeta, 11)
     if which == "dec":
         best = np.inf
         for s in svals:

@@ -324,24 +324,24 @@ def _audit_report(cfg):
     if tid == "index":
         return audits.audit_index_bounds(cfg.genus, cfg.boundary, cfg.index,
                                          c=cfg.c, area=cfg.area)
-    data, geom = _geometry(cfg)
+    _, geom = _geometry(cfg)
     tols = {"theta_tol": cfg.theta_tol, "stab_tol": cfg.stab_tol}
     if tid == "cy-estimate":
-        return audits.audit_cy_estimate(geom, data)
+        return audits.audit_cy_estimate(geom)
     if tid == "hawking-bound":
-        return audits.audit_hawking_bound(geom, data)
+        return audits.audit_hawking_bound(geom)
     if tid == "cohn-vossen":
-        return audits.audit_cohn_vossen(geom, data, **tols)
+        return audits.audit_cohn_vossen(geom, **tols)
     if tid == "growth-bounds":
         qf = np.full(geom.grid.shape, cfg.q) if cfg.q is not None else None
         return audits.audit_growth_bounds(geom, a=cfg.a, c=cfg.c, q_field=qf,
                                           stab_tol=cfg.stab_tol)
     if tid == "g-quantity":
-        return audits.audit_theorem_481(geom, data, stab_tol=cfg.stab_tol)
+        return audits.audit_theorem_481(geom, stab_tol=cfg.stab_tol)
     if tid == "area-boundary":
-        return audits.audit_I_sigma(geom, data, **tols)
+        return audits.audit_I_sigma(geom, **tols)
     if tid == "diameter":
-        return audits.audit_diameter(geom, data, **tols)
+        return audits.audit_diameter(geom, **tols)
     raise ValueError(f"theorem {tid!r} has no audit report")
 
 
@@ -448,6 +448,17 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
+def _finite_float(text):
+    """Float option type: a non-number, NaN or an infinity exits 3."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser():
     """The one declaration of every option: its name, type, choices and
     default. Config-file keys are these options' long names."""
@@ -474,24 +485,26 @@ def build_parser():
     parser.add_argument("--genus", type=int, default=0)
     parser.add_argument("--boundary", type=int, default=1)
     parser.add_argument("--index", type=int, default=1)
-    parser.add_argument("--c", type=float, default=None)
-    parser.add_argument("--area", type=float, default=None)
-    parser.add_argument("--a", type=float, default=1.0)
-    parser.add_argument("--q", type=float, default=None)
-    parser.add_argument("--zeta", type=float, default=0.1)
+    parser.add_argument("--c", type=_finite_float, default=None)
+    parser.add_argument("--area", type=_finite_float, default=None)
+    parser.add_argument("--a", type=_finite_float, default=1.0)
+    parser.add_argument("--q", type=_finite_float, default=None)
+    parser.add_argument("--zeta", type=_finite_float, default=0.1)
     parser.add_argument("--collar-field", default="dec",
                         choices=["dec", "boundary"])
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1234)
-    parser.add_argument("--theta-tol", type=float, default=audits.THETA_TOL,
+    parser.add_argument("--theta-tol", type=_finite_float,
+                        default=spectra.THETA_TOL,
                         help="MOTS tolerance for audits")
-    parser.add_argument("--stab-tol", type=float, default=audits.STAB_TOL,
+    parser.add_argument("--stab-tol", type=_finite_float,
+                        default=spectra.STAB_TOL,
                         help="stability tolerance for audits")
     parser.add_argument("--out", default=os.environ.get("MOTSLAB_OUT", "."))
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--sweep-param", default=None)
-    parser.add_argument("--sweep-from", type=float, default=1.0)
-    parser.add_argument("--sweep-to", type=float, default=2.0)
+    parser.add_argument("--sweep-from", type=_finite_float, default=1.0)
+    parser.add_argument("--sweep-to", type=_finite_float, default=2.0)
     parser.add_argument("--sweep-steps", type=int, default=2)
     parser.add_argument("--sweep-command", default="surface",
                         choices=["surface", "eigen", "audit"])

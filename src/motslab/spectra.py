@@ -30,7 +30,8 @@ ordering roughly halves the fill of the column ordering (COLAMD) meant
 for unsymmetric patterns. The principal eigenvalue and the lowest
 eigenvalues of a symmetric pencil (``eigsh``, handed the factor's solve
 as its shift-inverse) share the shift ``_shift`` and this factor, made
-once per shift (``_factors``); no solver factorizes on its own.
+once per shift (``_factors``); no solver factorizes on its own. Every
+audit's lambda_1 is a principal eigenvalue; ``eigsh`` serves the Morse index.
 """
 
 from dataclasses import dataclass, field
@@ -62,6 +63,10 @@ CUSTOM_SYMMETRIC = "CustomSymmetric"
 Q_FREE = "free"
 Q_CAPILLARY = "capillary"
 Q_SYMMETRIZED = "sym"
+
+# max |theta_+| of a MOTS, and the most negative lambda_1 counted as stable
+THETA_TOL = 1e-6
+STAB_TOL = 1e-8
 
 
 @dataclass
@@ -353,6 +358,8 @@ class EigenResult:
 # Arnoldi basis size: scipy's default of 20 would make every eigensolve
 # cost at least 21 resolvent applications
 _NCV = 6
+_ARPACK_TOL = 1e-13     # ARPACK's relative accuracy of the Ritz value
+_ARPACK_MAXITER = 10000
 _BACKWARD_TOL = 1e-12   # eigenpair backward error that declares convergence
 _REAL_TOL = 1e-10       # |Im xi| / |xi| below which xi counts as real
 _SHIFT_ATTEMPTS = 8
@@ -414,7 +421,7 @@ def _backward_error(weak, mass, lam, x):
                           * np.max(np.abs(x))))
 
 
-def _principal(weak, mass, factor, trans, delta, tol, max_iters):
+def _principal(weak, mass, factor, trans, delta):
     """Principal eigenpair of the pencil (weak, diag(mass)).
 
     ``factor(delta)`` returns the SuperLU factor of K + delta M, solved
@@ -443,8 +450,8 @@ def _principal(weak, mass, factor, trans, delta, tol, max_iters):
         op = LinearOperator((mass.size, mass.size), matvec=resolvent,
                             dtype=float)
         try:
-            vals, vecs = eigs(op, k=1, which="LM", ncv=_NCV, tol=tol,
-                              maxiter=max_iters, v0=ones, rng=0)
+            vals, vecs = eigs(op, k=1, which="LM", ncv=_NCV, tol=_ARPACK_TOL,
+                              maxiter=_ARPACK_MAXITER, v0=ones, rng=0)
         except ArpackError as exc:
             raise IterationFailureError(
                 f"shift-invert Arnoldi failed: {exc}") from exc
@@ -469,28 +476,27 @@ def _principal(weak, mass, factor, trans, delta, tol, max_iters):
     return lam, vec, applications, delta
 
 
-def principal_eigenvalue(opmat, tol=1e-13, max_iters=10000):
+def principal_eigenvalue(opmat):
     """Principal eigenvalue, eigenfunction and adjoint eigenvalue.
 
-    Shift-invert Arnoldi (ARPACK, ``tol`` and ``max_iters`` passed on) on
-    the positive resolvent (K + delta M)^{-1} M, with delta from ``_shift``
-    (c + delta > 0, with room for a Robin q > 0) and enlarged while the
-    dominant eigenvalue xi is not real and positive with a one-signed
-    eigenvector; then lambda_1 = 1/xi - delta. K + delta M is factorized
-    once (``_factor``) and its transposed solves give the adjoint
-    eigenvalue, which for a symmetric pencil is lambda_1 itself. A
-    constant eigenfunction is recognised before any solve. The eigenpair
-    must meet a backward error of 1e-12, else IterationFailureError.
-    ``iterations`` counts the forward resolvent applications.
+    Shift-invert Arnoldi (ARPACK) on the positive resolvent
+    (K + delta M)^{-1} M, with delta from ``_shift`` (c + delta > 0, with
+    room for a Robin q > 0) and enlarged while the dominant eigenvalue xi
+    is not real and positive with a one-signed eigenvector; then
+    lambda_1 = 1/xi - delta. K + delta M is factorized once (``_factor``)
+    and its transposed solves give the adjoint eigenvalue, which for a
+    symmetric pencil is lambda_1 itself. A constant eigenfunction is
+    recognised before any solve. The eigenpair must meet a backward error
+    of 1e-12, else IterationFailureError. ``iterations`` counts the forward
+    resolvent applications.
     """
     factor = _factors(opmat)
     lam, vec, applications, delta = _principal(
-        opmat.weak, opmat.mass, factor, "N", _shift(opmat), tol, max_iters)
+        opmat.weak, opmat.mass, factor, "N", _shift(opmat))
     if opmat.symmetric:
         lam_adj = lam
     else:
-        lam_adj = _principal(opmat.weak.T, opmat.mass, factor, "T", delta,
-                             tol, max_iters)[0]
+        lam_adj = _principal(opmat.weak.T, opmat.mass, factor, "T", delta)[0]
 
     resid = (np.max(np.abs(opmat.weak @ vec / opmat.mass - lam * vec))
              / np.max(np.abs(vec)))
@@ -508,6 +514,9 @@ def _lowest(opmat, count, factor, sigma):
     """Lowest ``count`` eigenvalues of a symmetric pencil by ARPACK in
     shift-invert mode at ``sigma`` over ``factor(-sigma)``, retried once at
     2 lambda_min - sigma if they land below sigma; and the final sigma."""
+    if not opmat.symmetric:
+        raise UnsupportedOperationError("symmetric spectra and the Morse "
+                                        "index require a symmetric operator")
     M = sparse.diags(opmat.mass)
     count = min(count, opmat.n - 2)
     v0 = np.ones(opmat.n)
@@ -530,25 +539,18 @@ def symmetric_spectrum(opmat, count):
     """Lowest eigenvalues of a symmetric pencil (stiffness vs lumped mass):
     ARPACK in shift-invert mode at sigma = -delta, with the inverse of
     K - sigma M applied through ``_factor``."""
-    if not opmat.symmetric:
-        raise UnsupportedOperationError(
-            "symmetric spectrum requires a symmetric operator kind")
     return _lowest(opmat, count, _factors(opmat), -_shift(opmat))[0]
 
 
-def morse_index(opmat, tol_index=None):
-    """Number of negative eigenvalues of the symmetrized stability form,
-    asking for twice as many eigenvalues until one is nonnegative; every
-    round starts at the last round's shift and reuses its factor."""
-    if not opmat.symmetric:
-        raise UnsupportedOperationError("Morse index requires MotsLs or a "
-                                        "symmetric custom operator")
+def morse_index(opmat):
+    """Number of eigenvalues below -1e-8 max(1, max |lambda|) of the
+    symmetrized stability form, asking for twice as many until one is not;
+    every round starts at the last round's shift and reuses its factor."""
     factor, sigma = _factors(opmat), -_shift(opmat)
     k = 8
     while True:
         vals, sigma = _lowest(opmat, k, factor, sigma)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        tol = 1e-8 * scale if tol_index is None else tol_index
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(vals))))
         if vals[-1] >= -tol or k >= opmat.n - 2:
             return int(np.sum(vals < -tol))
         k = min(2 * k, opmat.n - 2)
@@ -568,12 +570,13 @@ class StabilityVerdict:
     q_max: float | None
 
 
-def stability_verdict(geometry, kind=MOTS_L, theta_tol=1e-6, tol=1e-8):
-    """Stability of a MOTS: lambda_1 of the full operator, the symmetric
-    comparison lambda_1(L) <= lambda_1(L_s) when q <= 0, and the verdict."""
+def stability_verdict(geometry):
+    """Stability of a MOTS (max |theta_+| < THETA_TOL): lambda_1 of the
+    full operator, stable when it is at least -STAB_TOL, and the symmetric
+    comparison lambda_1(L) <= lambda_1(L_s) when q <= 0."""
     max_tp = float(np.max(np.abs(geometry.theta_p)))
-    if kind == MOTS_L and max_tp >= theta_tol:
-        raise NotAMOTSError(max_tp, theta_tol)
+    if max_tp >= THETA_TOL:
+        raise NotAMOTSError(max_tp, THETA_TOL)
     op_L = assemble(mots_spec(geometry, MOTS_L))
     q_max = None if op_L.robin_q is None else float(np.max(op_L.robin_q))
     res_L = principal_eigenvalue(op_L)
@@ -584,7 +587,7 @@ def stability_verdict(geometry, kind=MOTS_L, theta_tol=1e-6, tol=1e-8):
     return StabilityVerdict(
         lambda1_L=res_L.lambda1,
         lambda1_Ls=res_Ls.lambda1,
-        stable=bool(res_L.lambda1 >= -tol),
+        stable=bool(res_L.lambda1 >= -STAB_TOL),
         comparison_ok=comparison,
         max_theta_plus=max_tp,
         q_max=q_max)

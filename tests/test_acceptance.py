@@ -3,6 +3,7 @@ pass/fail line (run with -s to see them). Tolerances are pinned here and
 nowhere else."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,15 +293,18 @@ def test_criterion_9_audit_soundness():
                    <= 1e-6 * rep.lhs))
     s1 = 0.5
     s2 = (2.0 * np.pi - s1 * disk.area) / disk.boundary_length()
-    rep = audits.audit_I_sigma(disk, inf_mu_jn_override=s1,
-                               inf_boundary_override=s2)
+    # Minkowski data: J = 0 and W = 0, so the infima are the injected mu
+    # and H_dM; Q is kept, so the stability solves are unchanged
+    rep = audits.audit_I_sigma(replace(
+        disk, mu=np.full(disk.grid.shape, s1),
+        boundary=replace(disk.boundary, H_dM=np.full(disk.grid.n_v, s2))))
     checks.append(("I synthetic margin", abs(rep.margin) < 1e-10))
     checks.append(("I equality diagnostics",
                    all(v < 1e-6 for _, v in rep.equality_diagnostics)))
 
     # diameter with injected energy: arithmetic and flag precedence
     synth = disk.with_overrides(dec=3.0)
-    rep = audits.audit_diameter(synth, dec_inf_override=3.0)
+    rep = audits.audit_diameter(synth)
     checks.append(("diameter bound",
                    abs(rep.extras["bound_dec"] - 2.0 * np.pi / 3.0) < 1e-12))
     checks.append(("diameter precedence",
@@ -310,8 +314,8 @@ def test_criterion_9_audit_soundness():
     r = 1.7
     sph = compute_geometry(sphere_chart(make_grid(grids.SPHERE, 32, 64), r),
                            idata.minkowski_flat())
-    rep = audits.audit_cohn_vossen(sph, integrand_override=1.0 / (2 * r * r),
-                                   dec_override=1.0)
+    rep = audits.audit_cohn_vossen(
+        replace(sph, mu=np.full(sph.grid.shape, 1.0 / (2 * r * r))))
     checks.append(("cohn-vossen synthetic",
                    abs(rep.lhs - sph.area / (2 * r * r)) < 1e-12))
 

@@ -1,6 +1,8 @@
 """Tests for the theorem audits: hand-computed closed forms, flag logic,
 and equality diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,18 @@ def disk_geom(n=32, support=None):
     grid = make_grid(grids.DISK, n, 2 * n)
     return compute_geometry(flat_disk_chart(grid, 1.0, support=support),
                             idata.minkowski_flat())
+
+
+def injected(geom, mu, h_dm=None):
+    """Copy of a surface in Minkowski data (J = 0, W = 0) with constant mu
+    and, on a disk, constant H_dM: mu + J(N) = mu - |J| = mu and
+    H_dM - <W, nu> = h_dm. Q is kept, so the stability solves see the
+    surface unchanged."""
+    fields = {"mu": np.full(geom.grid.shape, float(mu))}
+    if h_dm is not None:
+        fields["boundary"] = replace(geom.boundary,
+                                     H_dM=np.full(geom.grid.n_v, float(h_dm)))
+    return replace(geom, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +149,7 @@ def test_cohn_vossen_horizon_flag_logic():
 def test_cohn_vossen_synthetic_injection():
     r = 1.7
     geom = sphere_geom(r)
-    rep = audit_cohn_vossen(geom, integrand_override=1.0 / (2.0 * r * r),
-                            dec_override=1.0)
+    rep = audit_cohn_vossen(injected(geom, 1.0 / (2.0 * r * r)))
     expected = geom.area / (2.0 * r * r)
     assert abs(rep.lhs - expected) < 1e-12
     assert abs(rep.lhs - 2.0 * np.pi) < 1e-6 * 2.0 * np.pi
@@ -145,8 +158,7 @@ def test_cohn_vossen_synthetic_injection():
 
 def test_cohn_vossen_monotone_truncation():
     # larger truncations of a nonnegative integrand never decrease the lhs
-    values = [audit_cohn_vossen(sphere_geom(r), integrand_override=0.1,
-                                dec_override=1.0).lhs
+    values = [audit_cohn_vossen(injected(sphere_geom(r), 0.1)).lhs
               for r in (1.0, 1.5, 2.0)]
     assert values[0] < values[1] < values[2]
 
@@ -163,6 +175,20 @@ def test_growth_distance_bound_round_sphere():
     assert abs(rep.rhs - np.pi * 2.0 / np.sqrt(3.0)) < 1e-12
     assert abs(rep.lhs - np.pi) < 0.03 * np.pi
     assert rep.verdict == HOLDS
+
+
+def test_growth_bounds_round_sphere_factors_nothing(monkeypatch):
+    # a K - c is constant on a round sphere, so the constant function is
+    # the eigenfunction and the principal-eigenvalue gate accepts it with
+    # no factorization
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factorized a pencil with a constant "
+                             "eigenfunction")
+
+    monkeypatch.setattr(spectra, "splu", no_factor)
+    for form in ({"c": 1.0}, {"q_field": np.zeros((24, 48))}):
+        rep = audit_growth_bounds(sphere_geom(1.0, n=24), a=1.0, **form)
+        assert rep.flag("operator_nonnegative").satisfied
 
 
 def test_growth_bound_precondition():
@@ -189,6 +215,21 @@ def test_g_quantity_flat_and_hyperboloidal():
     assert np.max(np.abs(g1 - 3.0 / r**2)) < 1e-10
     g2 = compute_G_quantity(sphere_geom(r, idata.hyperboloidal_flat()))
     assert np.max(np.abs(g2 - 3.0 / r**2)) < 1e-10
+
+
+@pytest.mark.parametrize("data, chart", [
+    (idata.schwarzschild_pg(1.0), lambda g: sphere_chart(g, 4.1,
+                                                         (0.45, 0.0, 0.0))),
+    (idata.hyperboloidal_flat(), lambda g: sphere_chart(g, 2.0)),
+])
+def test_g_quantity_potential_is_qbar(data, chart):
+    # the g-quantity operator's potential K + (theta+/2 theta-)|chihat_-|^2
+    # - G is the proof variant of Qbar (K = R_S / 2)
+    geom = compute_geometry(chart(make_grid(grids.SPHERE, 32, 64)), data)
+    qbar = surfaces.qbar_potential(geom, "proof")
+    by_hand = (geom.K + geom.theta_p / (2.0 * geom.theta_m) * geom.chihat_m2
+               - compute_G_quantity(geom))
+    assert np.max(np.abs(qbar - by_hand)) <= 1e-14 * np.max(np.abs(qbar))
 
 
 def test_g_quantity_horizon_raises():
@@ -220,7 +261,7 @@ def _record_solves(monkeypatch):
 def test_theorem_481_solves_once(monkeypatch):
     kinds = _record_solves(monkeypatch)
     audit_theorem_481(sphere_geom(1.5, n=16))
-    assert kinds == [spectra.HSTAB_MINUS_LMINUS]
+    assert kinds == [spectra.CUSTOM_SYMMETRIC, spectra.HSTAB_MINUS_LMINUS]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +306,7 @@ def test_I_sigma_synthetic_equality_margin_zero():
     blen = geom.boundary_length()
     s1 = 0.5
     s2 = (2.0 * np.pi - s1 * geom.area) / blen
-    rep = audit_I_sigma(geom, inf_mu_jn_override=s1, inf_boundary_override=s2)
+    rep = audit_I_sigma(injected(geom, s1, h_dm=s2))
     assert abs(rep.margin) < 1e-10
     for name, value in rep.equality_diagnostics:
         assert value < 1e-6, (name, value)
@@ -315,7 +356,7 @@ def test_index_bounds_property_grid():
 def test_diameter_synthetic_flag_precedence():
     geom = disk_geom(32)
     synth = geom.with_overrides(dec=3.0)
-    rep = audit_diameter(synth, dec_inf_override=3.0)
+    rep = audit_diameter(synth)
     # the diameter part holds with margin ~ 2 pi/3 - 2 ~ 0.094, but the
     # injected energy makes the disk unstable: flag precedence wins
     assert rep.verdict == HYPOTHESIS_UNMET
@@ -326,14 +367,14 @@ def test_diameter_synthetic_flag_precedence():
 
 def test_diameter_not_applicable_when_infima_vanish():
     geom = disk_geom(16)
-    rep = audit_diameter(geom, dec_inf_override=0.0, boundary_inf_override=0.0)
+    rep = audit_diameter(injected(geom, 0.0, h_dm=0.0))
     assert rep.verdict == NOT_APPLICABLE
 
 
 def test_diameter_cap_hausdorff_cross_check():
     grid = make_grid(grids.DISK, 32, 64)
     cap = compute_geometry(cap_chart(grid, 1.0), idata.minkowski_flat())
-    rep = audit_diameter(cap, dec_inf_override=0.1, boundary_inf_override=0.1)
+    rep = audit_diameter(injected(cap, 0.1, h_dm=0.1))
     assert abs(rep.extras["hausdorff_2"] - 2.0 * np.pi) < 0.01 * 2.0 * np.pi
     assert abs(rep.extras["hausdorff_1"] - 2.0 * np.pi) < 0.01 * 2.0 * np.pi
 

@@ -310,3 +310,32 @@ def test_array_rows_write_the_same_bytes(rows):
         cli._write_csv(paths[1], ["u", "v", "phi"], rows)
         a, b = (pathlib.Path(p).read_bytes() for p in paths)
     assert a == b
+
+
+
+@pytest.mark.parametrize("flags", [
+    ["--theorem", "growth-bounds", "--q", "nan"],
+    ["--theorem", "growth-bounds", "--q", "inf"],
+    ["--theorem", "growth-bounds", "--c", "nan"],
+    ["--theorem", "growth-bounds", "--c", "1", "--a", "nan"],
+    ["--theorem", "growth-bounds", "--c", "1", "--a", "inf"],
+    ["--theorem", "index", "--c", "0.5", "--area", "nan"],
+    ["--theorem", "collar", "--zeta", "nan"],
+    ["--theorem", "cohn-vossen", "--theta-tol", "nan"],
+    ["--theorem", "cohn-vossen", "--stab-tol=-inf"],
+    ["--theorem", "growth-bounds", "--c", "1", "--a", "one"],
+])
+def test_non_finite_float_flags_exit_3(tmp_path, capsys, flags):
+    code, _ = run(["audit", "--surface", "sphere:r=1", "--grid", "16x32"]
+                  + flags, tmp_path)
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theorem = growth-bounds\nq = nan\n")
+    code, _ = run(["audit", "--config", str(cfg), "--surface", "sphere:r=1",
+                   "--grid", "16x32"], tmp_path)
+    assert code == 3
+    assert "error:" in capsys.readouterr().err

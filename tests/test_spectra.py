@@ -509,8 +509,7 @@ def test_one_signed_check_with_positive_robin_q():
     op = assemble(OperatorSpec(spectra.MOTS_L, ball,
                                q_source=spectra.Q_FREE))
     lam, vec, _, delta = spectra._principal(
-        op.weak, op.mass, lambda d: spectra._factor(op, d), "N", 1.0,
-        1e-13, 10000)
+        op.weak, op.mass, lambda d: spectra._factor(op, d), "N", 1.0)
     assert delta > 1.0
     assert np.min(vec) > 0.0
     assert abs(lam + k * k) < 5e-3

@@ -58,7 +58,7 @@ def test_one_ambient_evaluation_per_point_set():
                             data)
     assert len(calls) == 1
     calls.clear()
-    audits.collar_infimum(data, geom, 0.05, which="dec", steps=5)
+    audits.collar_infimum(data, geom, 0.05, which="dec")
     assert len(calls) == 11
 
     data = idata.minkowski_flat()

@@ -525,7 +525,7 @@ def collar_infimum(data, geom, zeta, which="dec"):
     if which == "dec":
         best = np.inf
         for s in svals:
-            jet = idata.evaluate(data, geom.F + s * geom.N)
+            jet = idata.evaluate(data, np.moveaxis(geom.F + s * geom.N, -1, 0))
             best = min(best, float(np.min(jet.mu - jet.j_norm)))
         return best
     if which == "boundary":
@@ -535,9 +535,9 @@ def collar_infimum(data, geom, zeta, which="dec"):
         support = geom.chart.support
         best = np.inf
         for s in svals:
-            jet = idata.evaluate(data, b.points + s * b.normal)
+            jet = idata.evaluate(data, (b.points + s * b.normal).T)
             h = support.mean_curvature(jet)
-            wnu = np.einsum("...ij,...i,...j->...", jet.k, b.nu, b.normal)
+            wnu = idata.bilinear(jet.k, b.nu.T, b.normal.T)
             best = min(best, float(np.min(h - wnu)))
         return best
     raise ValueError(f"unknown collar quantity {which!r}")

@@ -211,10 +211,10 @@ def _sample_points(data, n, seed):
 def cmd_constraints(cfg):
     data = idata.resolve(cfg.data)
     pts = _sample_points(data, cfg.samples, cfg.seed)
-    jet = idata.evaluate(data, pts)
+    jet = idata.evaluate(data, pts.T)
     mu, J, jn = jet.mu, jet.J, jet.j_norm
     rows = [(p[0], p[1], p[2], m, j[0], j[1], j[2], n, m - n)
-            for p, m, j, n in zip(pts, mu, J, jn)]
+            for p, m, j, n in zip(pts, mu, J.T, jn)]
     _write_csv(os.path.join(cfg.out, "constraints.csv"),
                ["x", "y", "z", "mu", "J_x", "J_y", "J_z", "J_norm", "dec"],
                rows)

@@ -2,8 +2,8 @@
 
 Every entry evaluates the spatial metric g, the extrinsic curvature k, and
 their first (and for g, second) coordinate derivatives in closed form at
-batched points of shape (..., 3). The energy and momentum densities are
-always derived from the constraint equations
+batched points. The energy and momentum densities are always derived from
+the constraint equations
 
     2 mu = R_g + (tr k)^2 - |k|^2,      J = div(k - (tr k) g),
 
@@ -11,19 +11,22 @@ never supplied by hand, so catalog entries are constraint-consistent by
 construction. ``evaluate`` computes the whole ambient jet at a point set
 (g, its inverse and derivatives, k, the Christoffel symbols, Ricci, and the
 constraint-derived mu, J and |J|) and is the single source of (mu, J) for
-every other module. It contracts with batched matrix products, and builds
-Ricci from contractions of g^-1 with the second derivatives of g, without
-forming the derivative of the Christoffel symbols.
+every other module. It builds Ricci from contractions of g^-1 with the
+second derivatives of g, without forming the derivative of the Christoffel
+symbols.
 
-Index conventions: ``dg[..., m, i, j] = d_m g_ij``,
-``ddg[..., l, m, i, j] = d_l d_m g_ij``, ``dk[..., m, i, j] = d_m k_ij``.
+Index conventions are component-major, batch last: points are
+``x[i, ...]``, and ``g[i, j, ...]``, ``dg[m, i, j, ...] = d_m g_ij``,
+``ddg[l, m, i, j, ...] = d_l d_m g_ij``, ``dk[m, i, j, ...] = d_m k_ij``.
+Every contraction is a two-operand ``np.einsum`` whose inner loop runs over
+the contiguous node axis.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import DegenerateMetricError, DomainError, InvalidInputError
 
 _EYE = np.eye(3)
 
@@ -38,7 +41,7 @@ class ZeroExtension:
     vacuum = True
 
     def contract(self, jet, a, b):
-        return np.zeros(jet.x.shape[:-1])
+        return np.zeros(jet.x.shape[1:])
 
 
 class DeSitterExtension:
@@ -54,8 +57,7 @@ class DeSitterExtension:
     def contract(self, jet, a, b):
         at, asp = a
         bt, bsp = b
-        spatial = bilinear(jet.g, np.broadcast_to(asp, jet.x.shape),
-                           np.broadcast_to(bsp, jet.x.shape))
+        spatial = bilinear(jet.g, asp, bsp)
         return -3.0 * (-np.asarray(at) * np.asarray(bt) + spatial)
 
 
@@ -66,11 +68,11 @@ class DeSitterExtension:
 class InitialData:
     """An analytic initial data set.
 
-    Parameters are closed-form evaluator callables over batched points.
-    ``slice_family`` maps a time offset t to the initial data induced on the
-    slice at unit-lapse coordinate time t, when the entry belongs to a known
-    unit-lapse slicing (used by the spacetime-direction variation oracle);
-    entries without one set it to None.
+    Parameters are closed-form evaluator callables over batched points
+    ``x[i, ...]``. ``slice_family`` maps a time offset t to the initial data
+    induced on the slice at unit-lapse coordinate time t, when the entry
+    belongs to a known unit-lapse slicing (used by the spacetime-direction
+    variation oracle); entries without one set it to None.
     """
 
     def __init__(self, name, params, g, dg, ddg, k, dk, in_domain,
@@ -96,29 +98,36 @@ class InitialData:
             raise DomainError(f"point outside domain of {self.name}")
 
 
-def _zeros33(x):
-    return np.zeros(x.shape[:-1] + (3, 3))
+def _delta(value, batch):
+    """value * delta_ij: two component axes after the leading axes of
+    ``value`` and before the trailing ``batch`` axes."""
+    value = np.asarray(value, dtype=float)
+    lead = value.shape[:max(value.ndim - len(batch), 0)]
+    out = np.zeros(lead + (3, 3) + batch)
+    for a in range(3):
+        out[(slice(None),) * len(lead) + (a, a)] = value
+    return out
 
 
-def _zeros333(x):
-    return np.zeros(x.shape[:-1] + (3, 3, 3))
+def _zeros(rank):
+    """Evaluator of the zero field with ``rank`` component axes."""
+    return lambda x: np.zeros((3,) * rank + np.shape(x)[1:])
 
 
-def _zeros3333(x):
-    return np.zeros(x.shape[:-1] + (3, 3, 3, 3))
+def _norm(x):
+    return np.sqrt(np.einsum("i...,i...->...", x, x))
+
+
+def _everywhere(x):
+    return np.ones(np.shape(x)[1:], dtype=bool)
 
 
 def minkowski_flat():
     """Flat slice of Minkowski space: g = delta, k = 0."""
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(_EYE, x.shape[:-1] + (3, 3)).copy()
-
     data = InitialData(
         name="minkowski_flat", params={},
-        g=g, dg=_zeros333, ddg=_zeros3333, k=_zeros33, dk=_zeros333,
-        in_domain=lambda x: np.ones(np.asarray(x).shape[:-1], dtype=bool),
+        g=lambda x: _delta(1.0, np.shape(x)[1:]), dg=_zeros(3), ddg=_zeros(4),
+        k=_zeros(2), dk=_zeros(3), in_domain=_everywhere,
         extension=ZeroExtension(),
     )
     data.slice_family = lambda t: data
@@ -128,20 +137,21 @@ def minkowski_flat():
 def hyperboloidal_flat(scale=1.0):
     """Flat slice of de Sitter space: g = c delta, k = c delta (c = scale).
 
-    The constraints give mu = 3 and J = 0 for every c, and the ambient
+    The constraints give mu = 3 and J = 0 for every c > 0, and the ambient
     Einstein tensor is G = -3 h. Sliding along the unit-lapse time of the
     flat slicing rescales c by e^{2t}.
     """
     c = float(scale)
+    if not c > 0.0:
+        raise ValueError("scale must be positive")
 
     def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(c * _EYE, x.shape[:-1] + (3, 3)).copy()
+        return _delta(c, np.shape(x)[1:])
 
     data = InitialData(
         name="hyperboloidal_flat", params={"scale": c},
-        g=g, dg=_zeros333, ddg=_zeros3333, k=g, dk=_zeros333,
-        in_domain=lambda x: np.ones(np.asarray(x).shape[:-1], dtype=bool),
+        g=g, dg=_zeros(3), ddg=_zeros(4), k=g, dk=_zeros(3),
+        in_domain=_everywhere,
         extension=DeSitterExtension(),
         slice_family=lambda t: hyperboloidal_flat(scale=c * np.exp(2.0 * t)),
     )
@@ -156,43 +166,37 @@ def schwarzschild_isotropic(mass=1.0, excision_factor=0.05):
     puncture is excluded from the chart domain.
     """
     m = float(mass)
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError("mass must be positive")
     r_min = excision_factor * m
 
-    def _r(x):
-        return np.linalg.norm(x, axis=-1)
-
     def _psi_jet(x):
         x = np.asarray(x, dtype=float)
-        r = _r(x)
+        r = _norm(x)
         psi = 1.0 + 0.5 * m / r
-        dpsi = -0.5 * m * x / r[..., None] ** 3
-        rr = r[..., None, None]
-        xx = x[..., :, None] * x[..., None, :]
-        ddpsi = -0.5 * m * (_EYE / rr**3 - 3.0 * xx / rr**5)
+        dpsi = (-0.5 * m / r**3) * x
+        ddpsi = (1.5 * m / r**5) * x[:, None] * x[None, :]
+        for a in range(3):
+            ddpsi[a, a] -= 0.5 * m / r**3
         return psi, dpsi, ddpsi
 
     def g(x):
         psi, _, _ = _psi_jet(x)
-        return psi[..., None, None] ** 4 * _EYE
+        return _delta(psi**4, psi.shape)
 
     def dg(x):
         psi, dpsi, _ = _psi_jet(x)
-        coef = 4.0 * psi[..., None] ** 3 * dpsi
-        return coef[..., :, None, None] * _EYE
+        return _delta(4.0 * psi**3 * dpsi, psi.shape)
 
     def ddg(x):
         psi, dpsi, ddpsi = _psi_jet(x)
-        coef = (12.0 * psi[..., None, None] ** 2
-                * (dpsi[..., :, None] * dpsi[..., None, :])
-                + 4.0 * psi[..., None, None] ** 3 * ddpsi)
-        return coef[..., :, :, None, None] * _EYE
+        return _delta(12.0 * psi**2 * dpsi[:, None] * dpsi[None, :]
+                      + 4.0 * psi**3 * ddpsi, psi.shape)
 
     data = InitialData(
         name="schwarzschild_isotropic", params={"m": m},
-        g=g, dg=dg, ddg=ddg, k=_zeros33, dk=_zeros333,
-        in_domain=lambda x: _r(np.asarray(x, dtype=float)) > r_min,
+        g=g, dg=dg, ddg=ddg, k=_zeros(2), dk=_zeros(3),
+        in_domain=lambda x: _norm(np.asarray(x, dtype=float)) > r_min,
         extension=ZeroExtension(),
     )
     return data
@@ -206,40 +210,38 @@ def schwarzschild_pg(mass=1.0, excision_factor=0.05):
     outward normal at areal radius r = 2m.
     """
     m = float(mass)
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError("mass must be positive")
     r_min = excision_factor * 2.0 * m
     s2m = np.sqrt(2.0 * m)
 
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(_EYE, x.shape[:-1] + (3, 3)).copy()
-
     def k(x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)[..., None, None]
-        xx = x[..., :, None] * x[..., None, :]
-        return -s2m * (_EYE / r**1.5 - 1.5 * xx / r**3.5)
+        r = _norm(x)
+        out = (1.5 * s2m / r**3.5) * x[:, None] * x[None, :]
+        for a in range(3):
+            out[a, a] -= s2m / r**1.5
+        return out
 
     def dk(x):
+        # dk[l, i, j] = -sqrt(2m) (21/4 x_l x_i x_j r^{-11/2}
+        #     - 3/2 (delta_ij x_l + delta_il x_j + delta_jl x_i) r^{-7/2})
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)[..., None, None, None]
-        xl = x[..., :, None, None]
-        xi = x[..., None, :, None]
-        xj = x[..., None, None, :]
-        eye_ij = _EYE[None, :, :]
-        # delta_il x_j + delta_jl x_i, with axes (l, i, j)
-        d_il_xj = _EYE[:, :, None] * xj
-        d_jl_xi = _EYE[:, None, :] * xi
-        return -s2m * (-1.5 * eye_ij * xl / r**3.5
-                       - 1.5 * (d_il_xj + d_jl_xi) / r**3.5
-                       + 5.25 * xi * xj * xl / r**5.5)
+        r = _norm(x)
+        out = ((-5.25 * s2m / r**5.5) * x[:, None, None] * x[None, :, None]
+               * x[None, None, :])
+        u = (1.5 * s2m / r**3.5) * x
+        for a in range(3):
+            out[:, a, a] += u
+            out[a, :, a] += u
+            out[a, a] += u
+        return out
 
     data = InitialData(
         name="schwarzschild_pg", params={"m": m},
-        g=g, dg=_zeros333, ddg=_zeros3333, k=k, dk=dk,
-        in_domain=lambda x: np.linalg.norm(np.asarray(x, dtype=float),
-                                           axis=-1) > r_min,
+        g=lambda x: _delta(1.0, np.shape(x)[1:]), dg=_zeros(3), ddg=_zeros(4),
+        k=k, dk=dk,
+        in_domain=lambda x: _norm(np.asarray(x, dtype=float)) > r_min,
         extension=ZeroExtension(),
     )
     return data
@@ -295,6 +297,9 @@ def resolve(spec):
                          f"known: {sorted(_CLI_NAMES)}")
     make, keywords = _CLI_NAMES[name]
     params = spec_params(name, rest, keywords)
+    for key, val in params.items():
+        if not np.isfinite(float(val)):
+            raise InvalidInputError(f"{name} parameter {key} must be finite")
     return make(**{keywords[key]: float(val) for key, val in params.items()})
 
 
@@ -304,10 +309,10 @@ def resolve(spec):
 
 @dataclass(frozen=True)
 class AmbientJet:
-    """The ambient fields of an initial data set at one batched point set.
-
-    ``gam[..., i, j, k] = Gamma^i_jk``, ``dginv[..., m, i, j] = d_m g^ij``,
-    ``dtrk[..., m] = d_m tr k``; ``absk2`` is |k|^2 and ``j_norm`` is |J|_g.
+    """The ambient fields of an initial data set at one batched point set,
+    component-major: ``gam[i, j, k, ...] = Gamma^i_jk``,
+    ``dginv[m, i, j, ...] = d_m g^ij``, ``dtrk[m, ...] = d_m tr k``;
+    ``absk2`` is |k|^2 and ``j_norm`` is |J|_g.
     """
 
     x: np.ndarray
@@ -328,21 +333,55 @@ class AmbientJet:
     j_norm: np.ndarray
 
 
+def dot(a, b):
+    """a_i b^i over the leading component axis."""
+    return np.einsum("i...,i...->...", a, b)
+
+
+def mat_vec(M, b):
+    """(M b)_i = M_ij b^j over the leading component axes."""
+    return np.einsum("ij...,j...->i...", M, b)
+
+
 def bilinear(M, a, b):
-    """M(a, b) = M_ij a^i b^j for batched square fields and vectors."""
-    return np.sum(a * (M @ b[..., None])[..., 0], axis=-1)
+    """M(a, b) = M_ij a^i b^j for component-major fields and vectors."""
+    return dot(a, mat_vec(M, b))
+
+
+def _inverse(g):
+    """Inverse of a symmetric 3x3 field g[i, j, ...], cofactors over det.
+
+    Raises DegenerateMetricError at the first point where g is not positive
+    definite (a leading principal minor <= 0, Sylvester's criterion) or the
+    inverse is not finite, so NaN or Inf never leave this function.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        c00 = g[1, 1] * g[2, 2] - g[1, 2] ** 2
+        c01 = g[0, 2] * g[1, 2] - g[0, 1] * g[2, 2]
+        c02 = g[0, 1] * g[1, 2] - g[0, 2] * g[1, 1]
+        c11 = g[0, 0] * g[2, 2] - g[0, 2] ** 2
+        c12 = g[0, 1] * g[0, 2] - g[0, 0] * g[1, 2]
+        c22 = g[0, 0] * g[1, 1] - g[0, 1] ** 2
+        det = g[0, 0] * c00 + g[0, 1] * c01 + g[0, 2] * c02
+        ginv = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22])
+        ginv = ginv.reshape((3, 3) + det.shape) / det
+    ok = ((g[0, 0] > 0.0) & (c22 > 0.0) & (det > 0.0)
+          & np.isfinite(ginv).all(axis=(0, 1)))
+    if not np.all(ok):
+        node = tuple(int(i) for i in np.argwhere(~ok)[0])
+        raise DegenerateMetricError(
+            node, f"ambient g_00={g[(0, 0) + node]:.3e} det={det[node]:.3e}")
+    return ginv
 
 
 def evaluate(data, x):
-    """Evaluate the ambient jet of ``data`` at batched points ``x``.
+    """Evaluate the ambient jet of ``data`` at points ``x[i, ...]``.
 
     Checks the domain once and calls each analytic evaluator once. The
     energy density mu and momentum density J come from the constraint
     equations; this is the single source of truth for (mu, J) downstream.
 
-    Every contraction is a batched matrix product over 3x3 blocks or over
-    index pairs flattened to 9. Ricci is built from the second derivatives
-    directly,
+    Ricci is built from the second derivatives directly,
 
         2 Ric_jk = g^il (d_i d_j g_lk + d_i d_k g_jl - d_i d_l g_jk
                          - d_j d_k g_il)
@@ -351,51 +390,51 @@ def evaluate(data, x):
 
     with A_ljk = 2 Gamma_ljk, which is d_i Gamma^i_jk - d_j Gamma^i_ik plus
     the quadratic terms (d_j Gamma^i_ik uses Gamma^i_ik = g^il d_k g_il / 2),
-    so the derivative of the Christoffel symbols is never formed.
+    so the derivative of the Christoffel symbols is never formed. The
+    second-derivative terms are freed before the constraints are formed.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     data.check_domain(x)
     g = data.g(x)
-    ginv = np.linalg.inv(g)
+    ginv = _inverse(g)
     dg = data.dg(x)
     ddg = data.ddg(x)
     k = data.k(x)
     dk = data.dk(x)
-    batch = x.shape[:-1]
-
-    def flat(a, rows, cols):
-        return a.reshape(batch + (rows, cols))
 
     # A[l, j, k] = d_j g_lk + d_k g_jl - d_l g_jk
-    A = dg.swapaxes(-3, -2) + dg.swapaxes(-3, -1) - dg
-    gam = 0.5 * flat(ginv @ flat(A, 3, 9), 3, 9).reshape(batch + (3, 3, 3))
-    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
+    A = dg.swapaxes(0, 1) + dg.swapaxes(0, 2) - dg
+    gam = 0.5 * np.einsum("il...,ljk...->ijk...", ginv, A)
+    dginv = -np.einsum("mib...,bl...->mil...",
+                       np.einsum("ia...,mab...->mib...", ginv, dg), ginv)
 
-    ginv_row = flat(ginv, 1, 9)
-    ddg_99 = flat(ddg, 9, 9)
     # g^il d_i d_j g_lk, g^il d_i d_l g_jk and g^il d_j d_k g_il
-    cross = flat(ginv_row @ flat(ddg.swapaxes(-3, -2), 9, 9), 3, 3)
-    box = flat(ginv_row @ ddg_99, 3, 3)
-    hess_ln = flat(ddg_99 @ flat(ginv, 9, 1), 3, 3)
-    div_ginv = np.trace(dginv, axis1=-3, axis2=-2)
-    first = (flat(div_ginv[..., None, :] @ flat(A, 3, 9), 3, 3)
-             - flat(dginv, 3, 9) @ flat(dg, 3, 9).swapaxes(-1, -2))
-    gam_jip = gam.swapaxes(-3, -2)
-    quad = (flat(np.trace(gam, axis1=-3, axis2=-2)[..., None, :]
-                 @ flat(gam, 3, 9), 3, 3)
-            - flat(gam_jip, 3, 9) @ flat(gam_jip, 9, 3))
-    ric = 0.5 * (cross + cross.swapaxes(-1, -2) - box - hess_ln + first) + quad
-    scal = np.sum(ginv * ric, axis=(-2, -1))
+    cross = np.einsum("il...,ijlk...->jk...", ginv, ddg)
+    box = np.einsum("il...,iljk...->jk...", ginv, ddg)
+    hess_ln = np.einsum("jkil...,il...->jk...", ddg, ginv)
+    del ddg
+    div_ginv = np.einsum("iil...->l...", dginv)
+    first = (np.einsum("l...,ljk...->jk...", div_ginv, A)
+             - np.einsum("jil...,kil...->jk...", dginv, dg))
+    del A
+    quad = (np.einsum("p...,pjk...->jk...", np.einsum("iip...->p...", gam),
+                      gam)
+            - np.einsum("ijp...,pik...->jk...", gam, gam))
+    ric = (0.5 * (cross + cross.swapaxes(0, 1) - box - hess_ln + first)
+           + quad)
+    del cross, box, hess_ln, first, quad
+    scal = np.einsum("ij...,ij...->...", ginv, ric)
 
-    trk = np.sum(ginv * k, axis=(-2, -1))
-    k_up = ginv @ k
-    k2 = np.sum(k_up * k_up.swapaxes(-1, -2), axis=(-2, -1))
+    trk = np.einsum("ij...,ij...->...", ginv, k)
+    k_up = np.einsum("ia...,aj...->ij...", ginv, k)
+    k2 = np.einsum("ij...,ji...->...", k_up, k_up)
     mu = 0.5 * (scal + trk**2 - k2)
-    dtrk = (flat(dginv, 3, 9) @ flat(k, 9, 1)
-            + flat(dk, 3, 9) @ flat(ginv, 9, 1))[..., 0]
-    div_k = (ginv_row @ flat(dk, 9, 3)
-             - (flat(gam, 3, 9) @ flat(ginv, 9, 1)).swapaxes(-1, -2) @ k
-             - flat(k_up.swapaxes(-1, -2), 1, 9) @ flat(gam, 9, 3))[..., 0, :]
+    dtrk = (np.einsum("mij...,ij...->m...", dginv, k)
+            + np.einsum("mij...,ij...->m...", dk, ginv))
+    gam_trace = np.einsum("lik...,ik...->l...", gam, ginv)
+    div_k = (np.einsum("ab...,abj...->j...", ginv, dk)
+             - np.einsum("l...,lj...->j...", gam_trace, k)
+             - np.einsum("ba...,abj...->j...", k_up, gam))
     J = div_k - dtrk
     j_norm = np.sqrt(np.maximum(bilinear(ginv, J, J), 0.0))
     return AmbientJet(x=x, g=g, ginv=ginv, dg=dg, k=k, dk=dk, gam=gam,
@@ -404,7 +443,8 @@ def evaluate(data, x):
 
 
 def dec_margin(data, sample_points):
-    """min over the samples of mu - |J|_g (dominant energy condition margin)."""
+    """min over the samples ``x[i, ...]`` of mu - |J|_g (dominant energy
+    condition margin)."""
     pts = np.asarray(sample_points, dtype=float)
     if pts.size == 0:
         raise ValueError("empty sample set")
@@ -422,34 +462,27 @@ def finite_difference_clone(data, step=1e-5):
     independent oracle for constraint self-consistency."""
     h = float(step)
 
-    def dg(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (3, 3, 3))
-        for m in range(3):
-            e = h * _EYE[m]
-            out[..., m, :, :] = (data.g(x + e) - data.g(x - e)) / (2.0 * h)
-        return out
+    def shift(x, m):
+        return h * _EYE[m].reshape((3,) + (1,) * (x.ndim - 1))
 
-    def dk(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (3, 3, 3))
-        for m in range(3):
-            e = h * _EYE[m]
-            out[..., m, :, :] = (data.k(x + e) - data.k(x - e)) / (2.0 * h)
-        return out
+    def first(f):
+        def df(x):
+            x = np.asarray(x, dtype=float)
+            return np.stack([(f(x + shift(x, m)) - f(x - shift(x, m)))
+                             / (2.0 * h) for m in range(3)])
+        return df
 
     def ddg(x):
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (3, 3, 3, 3))
+        out = np.empty((3, 3, 3, 3) + x.shape[1:])
         for l in range(3):
             for m in range(3):
-                el, em = h * _EYE[l], h * _EYE[m]
+                el, em = shift(x, l), shift(x, m)
                 if l == m:
-                    out[..., l, m, :, :] = (
-                        data.g(x + el) - 2.0 * data.g(x) + data.g(x - el)
-                    ) / h**2
+                    out[l, m] = (data.g(x + el) - 2.0 * data.g(x)
+                                 + data.g(x - el)) / h**2
                 else:
-                    out[..., l, m, :, :] = (
+                    out[l, m] = (
                         data.g(x + el + em) - data.g(x + el - em)
                         - data.g(x - el + em) + data.g(x - el - em)
                     ) / (4.0 * h**2)
@@ -457,7 +490,7 @@ def finite_difference_clone(data, step=1e-5):
 
     return InitialData(
         name=data.name + "_fd", params=data.params,
-        g=data.g, dg=dg, ddg=ddg, k=data.k, dk=dk,
+        g=data.g, dg=first(data.g), ddg=ddg, k=data.k, dk=first(data.k),
         in_domain=data.in_domain, extension=data.extension,
     )
 

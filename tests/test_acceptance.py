@@ -50,12 +50,12 @@ def test_criterion_1_constraint_auditor():
     for entry in (idata.minkowski_flat(), idata.schwarzschild_isotropic(1.0),
                   idata.schwarzschild_pg(1.0)):
         pts = _sample_points(entry, 200)
-        jet = idata.evaluate(entry, pts)
+        jet = idata.evaluate(entry, pts.T)
         worst = max(worst, float(np.max(np.abs(jet.mu))),
                     float(np.max(jet.j_norm)))
     hyp = idata.hyperboloidal_flat()
     pts = _sample_points(hyp, 200)
-    jet = idata.evaluate(hyp, pts)
+    jet = idata.evaluate(hyp, pts.T)
     mu_err = float(np.max(np.abs(jet.mu - 3.0)))
     j_err = float(np.max(np.abs(jet.J)))
     elapsed = time.perf_counter() - t0

@@ -244,6 +244,23 @@ def test_unknown_spec_parameter_exits_numerical(tmp_path, capsys, spec):
     assert "takes no parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["constraints"],
+                                     ["surface", "--surface", "sphere:r=1",
+                                      "--grid", "16x32"]])
+@pytest.mark.parametrize("spec", ["hyperboloidal:scale=-1",
+                                  "hyperboloidal:scale=nan",
+                                  "hyperboloidal:scale=inf",
+                                  "hyperboloidal:scale=0",
+                                  "schwarzschild-pg:m=nan",
+                                  "schwarzschild-iso:m=inf"])
+def test_data_that_is_not_a_metric_exits_numerical(tmp_path, capsys, command,
+                                                   spec):
+    code, out = run(command + ["--data", spec], tmp_path)
+    assert code == 3
+    assert not out.exists() or not any(out.iterdir())
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_csv_quotes_specs_with_commas(tmp_path):
     spec = "sphere:r=2,cx=0.1"
     code, out = run(["surface", "--data", "minkowski", "--surface", spec,

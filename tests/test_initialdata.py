@@ -5,7 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from motslab import initialdata as idata
-from motslab.errors import DomainError
+from motslab.errors import (
+    DegenerateMetricError,
+    DomainError,
+    InvalidInputError,
+)
 
 
 def sample_points(data, n, seed=7):
@@ -15,7 +19,7 @@ def sample_points(data, n, seed=7):
         x = rng.uniform(-3.0, 3.0, size=3)
         if np.linalg.norm(x) > 0.35 and data.in_domain(x):
             pts.append(x)
-    return np.array(pts)
+    return np.array(pts).T
 
 
 @pytest.mark.parametrize("entry", idata.catalog(), ids=lambda d: d.name)
@@ -32,8 +36,8 @@ def test_analytic_derivative_consistency(entry):
 
 def test_minkowski_and_basic_values():
     mink = idata.minkowski_flat()
-    x = np.array([[0.3, -1.2, 2.0]])
-    assert np.allclose(mink.g(x)[0], np.eye(3))
+    x = np.array([[0.3], [-1.2], [2.0]])
+    assert np.allclose(mink.g(x)[..., 0], np.eye(3))
     assert np.allclose(mink.k(x), 0.0)
     jet = idata.evaluate(mink, x)
     assert abs(jet.mu[0]) < 1e-10 and np.max(np.abs(jet.J)) < 1e-10
@@ -45,7 +49,7 @@ def test_minkowski_and_basic_values():
     hyp = idata.hyperboloidal_flat()
     pts = sample_points(hyp, 10)
     ginv = idata.evaluate(hyp, pts).ginv
-    trk = np.einsum("...ij,...ij->...", ginv, hyp.k(pts))
+    trk = np.einsum("ij...,ij...->...", ginv, hyp.k(pts))
     assert np.allclose(trk, 3.0, atol=1e-12)
 
 
@@ -72,7 +76,7 @@ def test_dec_margin():
     sch = idata.schwarzschild_isotropic(1.0)
     assert abs(idata.dec_margin(sch, sample_points(sch, 30))) < 1e-8
     with pytest.raises(ValueError):
-        idata.dec_margin(idata.minkowski_flat(), np.zeros((0, 3)))
+        idata.dec_margin(idata.minkowski_flat(), np.zeros((3, 0)))
 
 
 def test_constraint_fd_oracle_agreement():
@@ -110,7 +114,7 @@ def test_extension_consistency():
         for i in range(3):
             e = (0.0, np.eye(3)[i])
             gti = entry.extension.contract(jet, tau, e)
-            assert np.max(np.abs(gti - jet.J[..., i])) < 1e-8, entry.name
+            assert np.max(np.abs(gti - jet.J[i])) < 1e-8, entry.name
 
 
 def test_schwarzschild_domain_excision():
@@ -152,33 +156,64 @@ def test_nonpositive_mass_rejected():
         idata.schwarzschild_pg(-1.0)
 
 
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf])
+def test_inverse_rejects_a_non_metric(scale):
+    # c * delta for c <= 0 or not finite, and an indefinite g with a
+    # positive diagonal: each is refused, never inverted to Inf or NaN.
+    for g in (np.diag([scale] * 3), 2.0 * np.ones((3, 3)) - np.eye(3)):
+        data = idata.InitialData(
+            name="bad", params={}, g=lambda x, g=g: g[..., None],
+            dg=lambda x: np.zeros((3, 3, 3, 1)),
+            ddg=lambda x: np.zeros((3, 3, 3, 3, 1)),
+            k=lambda x: np.zeros((3, 3, 1)),
+            dk=lambda x: np.zeros((3, 3, 3, 1)),
+            in_domain=lambda x: np.ones(np.shape(x)[1:], dtype=bool))
+        with pytest.raises(DegenerateMetricError):
+            idata.evaluate(data, np.array([[0.5], [0.0], [1.0]]))
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan])
+def test_nonpositive_scale_rejected(scale):
+    with pytest.raises(ValueError):
+        idata.hyperboloidal_flat(scale)
+
+
+@pytest.mark.parametrize("spec", ["hyperboloidal:scale=nan",
+                                  "schwarzschild-iso:m=inf",
+                                  "schwarzschild-pg:m=-inf"])
+def test_resolve_requires_finite_values(spec):
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        idata.resolve(spec)
+
+
 def _textbook_jet(g, dg, ddg, k, dk):
     """The ambient fields from the index formulas, contracted one einsum
     at a time through the full derivative of the Christoffel symbols."""
-    ginv = np.linalg.inv(g)
-    A = (np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg)
+    ginv = np.moveaxis(np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))),
+                       (-2, -1), (0, 1))
+    A = (np.einsum("jlk...->ljk...", dg) + np.einsum("kjl...->ljk...", dg)
          - dg)
-    gam = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, A)
-    dginv = -np.einsum("...ia,...mab,...bl->...mil", ginv, dg, ginv)
-    dA = (np.einsum("...mjlk->...mljk", ddg)
-          + np.einsum("...mkjl->...mljk", ddg) - ddg)
-    dgam = 0.5 * (np.einsum("...mil,...ljk->...mijk", dginv, A)
-                  + np.einsum("...il,...mljk->...mijk", ginv, dA))
-    ric = (np.einsum("...iijk->...jk", dgam)
-           - np.einsum("...jiik->...jk", dgam)
-           + np.einsum("...iip,...pjk->...jk", gam, gam)
-           - np.einsum("...ijp,...pik->...jk", gam, gam))
-    scal = np.einsum("...jk,...jk->...", ginv, ric)
-    trk = np.einsum("...ij,...ij->...", ginv, k)
-    k2 = np.einsum("...ia,...jb,...ij,...ab->...", ginv, ginv, k, k)
-    dtrk = (np.einsum("...mab,...ab->...m", dginv, k)
-            + np.einsum("...ab,...mab->...m", ginv, dk))
-    div_k = (np.einsum("...ik,...ikj->...j", ginv, dk)
-             - np.einsum("...ik,...lik,...lj->...j", ginv, gam, k)
-             - np.einsum("...ik,...lij,...kl->...j", ginv, gam, k))
+    gam = 0.5 * np.einsum("il...,ljk...->ijk...", ginv, A)
+    dginv = -np.einsum("ia...,mab...,bl...->mil...", ginv, dg, ginv)
+    dA = (np.einsum("mjlk...->mljk...", ddg)
+          + np.einsum("mkjl...->mljk...", ddg) - ddg)
+    dgam = 0.5 * (np.einsum("mil...,ljk...->mijk...", dginv, A)
+                  + np.einsum("il...,mljk...->mijk...", ginv, dA))
+    ric = (np.einsum("iijk...->jk...", dgam)
+           - np.einsum("jiik...->jk...", dgam)
+           + np.einsum("iip...,pjk...->jk...", gam, gam)
+           - np.einsum("ijp...,pik...->jk...", gam, gam))
+    scal = np.einsum("jk...,jk...->...", ginv, ric)
+    trk = np.einsum("ij...,ij...->...", ginv, k)
+    k2 = np.einsum("ia...,jb...,ij...,ab...->...", ginv, ginv, k, k)
+    dtrk = (np.einsum("mab...,ab...->m...", dginv, k)
+            + np.einsum("ab...,mab...->m...", ginv, dk))
+    div_k = (np.einsum("ik...,ikj...->j...", ginv, dk)
+             - np.einsum("ik...,lik...,lj...->j...", ginv, gam, k)
+             - np.einsum("ik...,lij...,kl...->j...", ginv, gam, k))
     J = div_k - dtrk
     j_norm = np.sqrt(np.maximum(
-        np.einsum("...ij,...i,...j->...", ginv, J, J), 0.0))
+        np.einsum("ij...,i...,j...->...", ginv, J, J), 0.0))
     return {"gam": gam, "dginv": dginv, "ric": ric, "R": scal, "trk": trk,
             "absk2": k2, "dtrk": dtrk, "mu": 0.5 * (scal + trk**2 - k2),
             "J": J, "j_norm": j_norm}
@@ -199,30 +234,33 @@ def _polynomial_data(seed, eps):
     p = _sym(rng.uniform(-1, 1, (3, 3)), 0, 1)
     q = _sym(rng.uniform(-1, 1, (3, 3, 3)), 0, 1)              # q_ijm
 
+    def batch(t, x):
+        """The constant components t broadcast over the points x[i, ...]."""
+        return np.broadcast_to(t.reshape(t.shape + (1,) * (x.ndim - 1)),
+                               t.shape + x.shape[1:])
+
     def g(x):
-        S = (a + np.einsum("ijm,...m->...ij", b, x)
-             + np.einsum("ijlm,...l,...m->...ij", c, x, x))
-        return np.eye(3) + eps * S
+        S = (batch(a, x) + np.einsum("ijm,m...->ij...", b, x)
+             + np.einsum("ijlm,l...,m...->ij...", c, x, x))
+        return batch(np.eye(3), x) + eps * S
 
     def dg(x):
-        dS = (np.moveaxis(b, -1, 0)
-              + 2.0 * np.einsum("ijml,...l->...mij", c, x))
-        return eps * np.broadcast_to(dS, x.shape[:-1] + (3, 3, 3))
+        dS = (batch(np.moveaxis(b, -1, 0), x)
+              + 2.0 * np.einsum("ijml,l...->mij...", c, x))
+        return eps * dS
 
     def ddg(x):
-        return eps * np.broadcast_to(2.0 * np.transpose(c, (2, 3, 0, 1)),
-                                     x.shape[:-1] + (3, 3, 3, 3))
+        return eps * batch(2.0 * np.transpose(c, (2, 3, 0, 1)), x)
 
     def k(x):
-        return p + np.einsum("ijm,...m->...ij", q, x)
+        return batch(p, x) + np.einsum("ijm,m...->ij...", q, x)
 
     def dk(x):
-        return np.broadcast_to(np.moveaxis(q, -1, 0),
-                               x.shape[:-1] + (3, 3, 3))
+        return batch(np.moveaxis(q, -1, 0), x)
 
     return idata.InitialData(
         name="polynomial", params={}, g=g, dg=dg, ddg=ddg, k=k, dk=dk,
-        in_domain=lambda x: np.ones(np.asarray(x).shape[:-1], dtype=bool))
+        in_domain=lambda x: np.ones(np.asarray(x).shape[1:], dtype=bool))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -231,8 +269,10 @@ def test_jet_matches_textbook_formulas(seed, eps):
     # Catalog metrics are flat or conformally flat; this one is neither,
     # so an index slip in the second-derivative contractions shows.
     data = _polynomial_data(seed, eps)
-    x = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, (4, 5, 3))
-    assume(np.min(np.linalg.eigvalsh(data.g(x))) > 0.2)
+    x = np.moveaxis(np.random.default_rng(seed + 1).uniform(-1.0, 1.0,
+                                                            (4, 5, 3)), -1, 0)
+    assume(np.min(np.linalg.eigvalsh(
+        np.moveaxis(data.g(x), (0, 1), (-2, -1)))) > 0.2)
     jet = idata.evaluate(data, x)
     ref = _textbook_jet(jet.g, jet.dg, data.ddg(x), jet.k, jet.dk)
     for name, expected in ref.items():

@@ -52,3 +52,26 @@ def test_every_parameter_is_read():
     unread = [u for path in sorted(SRC.glob("*.py"))
               for u in _unread_parameters(path)]
     assert unread == []
+
+
+def _slow_numpy_calls(path):
+    """Calls of np.linalg.inv, and calls passing ``optimize=`` (einsum)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        if ast.unparse(node.func).endswith("linalg.inv"):
+            yield f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+        if any(kw.arg == "optimize" for kw in node.keywords):
+            yield f"{path.name}:{node.lineno} {ast.unparse(node.func)}" \
+                  "(optimize=...)"
+
+
+def test_no_lapack_inverse_or_optimized_einsum():
+    # At 8192 points the closed-form symmetric 3x3 inverse took 0.3-0.45 ms
+    # against 5-10 ms for np.linalg.inv, and on numpy 2.4 an einsum with
+    # optimize= goes through bmm_einsum at about 1 ms a call: chaining
+    # two-operand calls took compute_geometry from 63 ms to 45 ms (64x128
+    # sphere, 2-core VM).
+    slow = [c for path in sorted(SRC.glob("*.py"))
+            for c in _slow_numpy_calls(path)]
+    assert slow == []

@@ -44,7 +44,7 @@ def _count_ddg(data):
     ddg = data.ddg
 
     def counted(x):
-        calls.append(x.shape[:-1])
+        calls.append(x.shape[1:])
         return ddg(x)
 
     data.ddg = counted
@@ -88,8 +88,8 @@ def test_definitional_identities_node_wise():
         tr = np.einsum("...ab,...ab->...", geom.gS_inv, geom.chihat_m)
         assert np.max(np.abs(tr)) < 1e-10
         # unit normal
-        g3 = data.g(geom.F)
-        nn = np.einsum("...ij,...i,...j->...", g3, geom.N, geom.N)
+        g3 = data.g(np.moveaxis(geom.F, -1, 0))
+        nn = np.einsum("ij...,...i,...j->...", g3, geom.N, geom.N)
         assert np.max(np.abs(nn - 1.0)) < 1e-12
 
 
@@ -385,3 +385,157 @@ def test_variation_oracle_h2_with_momentum_terms():
                                surfaces.NORMAL_N, [eps])
         devs.append(res.max_deviation("H2_normal"))
     assert devs[0] / devs[1] > 3.0
+
+
+# ---------------------------------------------------------------------------
+# node-by-node reference geometry
+
+
+def _anisotropic_data(eps=0.3, seed=5):
+    """g = delta + eps x x^T and k = p + q.x: g is neither diagonal nor
+    conformally flat, so an index slip in a contraction shows."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-1.0, 1.0, (3, 3))
+    p = p + p.T
+    q = rng.uniform(-1.0, 1.0, (3, 3, 3))
+    q = q + q.transpose(1, 0, 2)                     # q_ijm
+
+    def lift(t, x):
+        return np.broadcast_to(t.reshape(t.shape + (1,) * (x.ndim - 1)),
+                               t.shape + x.shape[1:])
+
+    def g(x):
+        return lift(np.eye(3), x) + eps * x[:, None] * x[None, :]
+
+    def dg(x):
+        return eps * (np.einsum("mi...,j...->mij...", lift(np.eye(3), x), x)
+                      + np.einsum("mj...,i...->mij...", lift(np.eye(3), x),
+                                  x))
+
+    def ddg(x):
+        e = np.eye(3)
+        return eps * lift(np.einsum("mi,lj->lmij", e, e)
+                          + np.einsum("li,mj->lmij", e, e), x)
+
+    return idata.InitialData(
+        name="anisotropic", params={}, g=g, dg=dg, ddg=ddg,
+        k=lambda x: lift(p, x) + np.einsum("ijm,m...->ij...", q, x),
+        dk=lambda x: lift(np.moveaxis(q, -1, 0), x),
+        in_domain=lambda x: np.ones(np.shape(x)[1:], dtype=bool))
+
+
+def _node_reference(data, chart, i, j):
+    """The geometric fields at node (i, j) from the index formulas, one
+    point at a time, with LAPACK's inverse and the full derivative of the
+    Christoffel symbols."""
+    x = chart.F[i, j]
+    g, dg, ddg = data.g(x), data.dg(x), data.ddg(x)
+    k, dk = data.k(x), data.dk(x)
+    ginv = np.linalg.inv(g)
+    dginv = -np.einsum("ia,mab,bl->mil", ginv, dg, ginv)
+    low = (np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg)
+    gam = 0.5 * np.einsum("il,ljk->ijk", ginv, low)
+    dlow = (np.einsum("mjlk->mljk", ddg) + np.einsum("mkjl->mljk", ddg)
+            - ddg)
+    dgam = 0.5 * (np.einsum("mil,ljk->mijk", dginv, low)
+                  + np.einsum("il,mljk->mijk", ginv, dlow))
+    ric = (np.einsum("iijk->jk", dgam) - np.einsum("jiik->jk", dgam)
+           + np.einsum("iip,pjk->jk", gam, gam)
+           - np.einsum("ijp,pik->jk", gam, gam))
+    R = np.einsum("jk,jk", ginv, ric)
+    trk = np.einsum("ij,ij", ginv, k)
+    mu = 0.5 * (R + trk**2 - np.einsum("ia,jb,ij,ab", ginv, ginv, k, k))
+    dtrk = (np.einsum("mab,ab->m", dginv, k)
+            + np.einsum("ab,mab->m", ginv, dk))
+    nabla_k = (dk - np.einsum("pmi,pj->mij", gam, k)
+               - np.einsum("pmj,ip->mij", gam, k))          # (nabla_m k)_ij
+    J = np.einsum("ab,abj->j", ginv, nabla_k) - dtrk
+
+    E = np.array([chart.Fu[i, j], chart.Fv[i, j]])
+    second = np.array([[chart.Fuu[i, j], chart.Fuv[i, j]],
+                       [chart.Fuv[i, j], chart.Fvv[i, j]]])
+    gS = E @ g @ E.T
+    gS_inv = np.linalg.inv(gS)
+    n_cov = np.cross(E[0], E[1])
+    N = ginv @ n_cov / np.sqrt(n_cov @ ginv @ n_cov)
+    kind, ref = chart.normal_ref
+    side = (g @ N) @ (x - ref) if kind == "center" else N @ ref
+    N = N if side >= 0.0 else -N
+    A = -np.einsum("i,abi->ab", g @ N,
+                   second + np.einsum("ijk,aj,bk->abi", gam, E, E))
+    k_S = E @ k @ E.T
+    H, P = np.sum(gS_inv * A), np.sum(gS_inv * k_S)
+    chi_p = k_S + A
+    RicNN = N @ ric @ N
+    R_S = R - 2.0 * RicNN + H**2 - np.einsum("ac,bd,ab,cd", gS_inv, gS_inv,
+                                             A, A)
+    J_N = J @ N
+    return {
+        "N": N, "gS": gS, "A": A, "k_S": k_S, "H": H, "P": P,
+        "theta_p": P + H, "theta_m": P - H, "W_cov": E @ k @ N,
+        "mu": mu, "J_N": J_N, "RicNN": RicNN, "R_M": R, "trk": trk,
+        "Q": 0.5 * R_S - mu - J_N - 0.5 * np.einsum(
+            "ac,bd,ab,cd", gS_inv, gS_inv, chi_p, chi_p),
+        "nabla_N_P": N @ dtrk - np.einsum("mij,m,i,j", nabla_k, N, N, N),
+    }, (g, ginv, gam, k, E, gS_inv, N)
+
+
+def _boundary_reference(data, chart, j):
+    """cos gamma, Pi, Pi(N, N), H_dM and W(nu) at boundary node j."""
+    _, (g, ginv, gam, k, E, gS_inv, N) = _node_reference(data, chart, -1, j)
+    support = chart.support
+    x = chart.F[-1, j]
+    s = support.sign * support.grad(x)
+    hess = support.sign * support.hess(x)
+    dginv = -np.einsum("ia,mab,bl->mil", ginv, data.dg(x), ginv)
+    L = np.sqrt(s @ ginv @ s)
+    dL = (np.einsum("mab,a,b->m", dginv, s, s)
+          + 2.0 * hess @ ginv @ s) / (2.0 * L)
+    Pi = hess / L - np.outer(dL, s) / L**2 - np.einsum("p,pij->ij", s / L,
+                                                       gam)
+    nu_chart = gS_inv[0] / np.sqrt(gS_inv[0, 0])
+    return {"cos_gamma": N @ s / L, "shape_op": Pi, "Pi_NN": N @ Pi @ N,
+            "H_dM": np.sum(ginv * Pi), "W_nu": (E @ k @ N) @ nu_chart}
+
+
+@pytest.mark.parametrize("case", [
+    "pg-sphere", "iso-sphere", "anisotropic-ellipsoid",
+    "iso-cylinder-disk", "iso-ball-disk", "pg-plane-cap",
+    "anisotropic-cylinder-disk",
+])
+def test_geometry_matches_node_reference(case):
+    # The contractions of compute_geometry against the index formulas at 16
+    # seeded nodes, and the boundary data at 8 seeded boundary nodes.
+    sphere = make_grid(grids.SPHERE, 16, 32)
+    disk = make_grid(grids.DISK, 12, 32)
+    iso, pg = idata.schwarzschild_isotropic(1.0), idata.schwarzschild_pg(1.0)
+    chart, data = {
+        "pg-sphere": (sphere_chart(sphere, 1.0, (0.4, 0.1, -0.3)), pg),
+        "iso-sphere": (sphere_chart(sphere, 0.6, (0.1, 0.05, 0.1)), iso),
+        "anisotropic-ellipsoid": (ellipsoid_chart(sphere, 1.0, 1.2, 1.5),
+                                  _anisotropic_data()),
+        "iso-cylinder-disk": (flat_disk_chart(disk, 1.0, 0.5), iso),
+        "iso-ball-disk": (flat_disk_chart(disk, 1.0, 0.5,
+                                          BallSupport(np.sqrt(1.25))), iso),
+        "pg-plane-cap": (cap_chart(disk, 2.5), pg),
+        "anisotropic-cylinder-disk": (flat_disk_chart(disk, 1.2, -0.4),
+                                      _anisotropic_data()),
+    }[case]
+    geom = compute_geometry(chart, data)
+    rng = np.random.default_rng(11)
+    nodes = zip(rng.integers(0, chart.grid.n_u, 16),
+                rng.integers(0, chart.grid.n_v, 16))
+    for i, j in nodes:
+        ref, _ = _node_reference(data, chart, i, j)
+        for name, expected in ref.items():
+            got = getattr(geom, name)[i, j]
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(got - expected)) <= 1e-12 * scale, \
+                (name, i, j)
+    if geom.boundary is None:
+        return
+    for j in rng.integers(0, chart.grid.n_v, 8):
+        for name, expected in _boundary_reference(data, chart, j).items():
+            got = getattr(geom.boundary, name)[j]
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(got - expected)) <= 1e-12 * scale, (name, j)

@@ -297,11 +297,16 @@ def run_eigen(cfg):
     spec = spectra.OperatorSpec(_OPERATORS[cfg.operator], geom,
                                 q_source=q_source, gamma=gamma,
                                 qbar_variant=cfg.qbar)
-    result = spectra.principal_eigenvalue(spectra.assemble(spec))
+    # the one command that reports the adjoint eigenvalue: transposed
+    # solves on the forward factor, none for a symmetric pencil
+    opmat = spectra.assemble(spec)
+    factor = spectra.factors(opmat)
+    result = spectra.principal_eigenvalue(opmat, factor)
+    adjoint = result.lambda1 if opmat.symmetric else \
+        spectra.adjoint_eigenvalue(opmat, factor, result.shift)
     row = [cfg.data, cfg.surface, cfg.grid, cfg.operator, cfg.bc,
            result.lambda1, result.residual, result.iterations,
-           result.positive, result.adjoint_lambda1,
-           "; ".join(result.warnings)]
+           result.positive, adjoint, "; ".join(result.warnings)]
     U, V = geom.grid.meshgrid()
     nodes = np.column_stack([U.ravel(), V.ravel(),
                              result.eigenfunction.ravel()])
@@ -312,7 +317,7 @@ def run_eigen(cfg):
                 f"lambda1={result.lambda1!r} "
                 f"residual={result.residual:.2e} iters={result.iterations} "
                 f"positive={result.positive} "
-                f"adjoint={result.adjoint_lambda1!r}")
+                f"adjoint={adjoint!r}")
 
 
 def cmd_eigen(cfg):

@@ -10,28 +10,36 @@ in which the faces between rings carry the u-u coefficient, the faces
 within rings the v-v coefficient, and the two face families share the
 mixed u-v terms (exactly symmetric, exact on constants); the Robin data
 enters as the boundary term of the integration by parts, and first-order
-drift rows are added with node-centered stencils. The generalized
-problem is K phi = lambda M phi with the lumped area mass M.
+drift rows are added with node-centered stencils. ``_weak_form`` writes
+every entry straight into the CSC structure of the grid's fixed stencil
+pattern (``_stencil_pattern``, explicit zeros included), built on each
+call. The generalized problem is K phi = lambda M phi with the lumped
+area mass M.
 
 The principal eigenvalue of the (generally non-self-adjoint) operator is
 real and has the smallest real part, with a one-signed eigenfunction. It
 is computed by shift-invert Arnoldi on the positive resolvent: shift by
 delta with lambda_1 + delta > 0, factorize K + delta M once, and let
 ARPACK find the largest-magnitude eigenvalue xi of x -> (K + delta M)^{-1}
-M x, which is lambda_1 = 1/xi - delta; transposed solves on the same
-factor give the adjoint eigenvalue (a symmetric pencil is its own adjoint
-and skips them). Convergence is declared from the backward error of the
-eigenpair, never from a stalled ratio.
+M x, which is lambda_1 = 1/xi - delta. The first delta lies above -min c
+by 4 pi / |Sigma|, a part that scales with the surface, since the
+iteration converges as |(lambda_1 + delta) / (lambda_2 + delta)|.
+Convergence is declared from the backward error of the eigenpair, never
+from a stalled ratio. ``principal_eigenvalue`` returns the forward
+eigenpair only: no audit reads the adjoint eigenvalue. The eigen command
+asks ``adjoint_eigenvalue`` for it, which runs transposed solves on the
+forward factor at the forward shift.
 
-Both eigensolvers factorize through one helper, ``_factor``: SuperLU of
-K + delta M over the grid's fixed stencil pattern, ordered by minimum
+Every eigensolver factorizes through one helper, ``_factor``: SuperLU of
+K + delta M (``_shifted_matrix``: a copy of K with delta M on the
+diagonal slots) over the fixed stencil pattern, ordered by minimum
 degree on the pattern of A^T + A. The pattern is symmetric, so this
 ordering roughly halves the fill of the column ordering (COLAMD) meant
-for unsymmetric patterns. The principal eigenvalue and the lowest
+for unsymmetric patterns. The principal eigenvalue, its adjoint and the lowest
 eigenvalues of a symmetric pencil (``eigsh``, handed the factor's solve
-as its shift-inverse) share the shift ``_shift`` and this factor, made
-once per shift (``_factors``); no solver factorizes on its own. Every
-audit's lambda_1 is a principal eigenvalue; ``eigsh`` serves the Morse index.
+as its shift-inverse) get the factor from ``factors``, which makes it
+once per shift; no solver factorizes on its own. Every audit's lambda_1
+is a principal eigenvalue; ``eigsh`` serves the Morse index.
 """
 
 from dataclasses import dataclass, field
@@ -95,7 +103,7 @@ class OperatorMatrix:
     """Weak-form operator pencil (K, M) with boundary-condition metadata."""
 
     n: int
-    weak: sparse.csr_matrix
+    weak: sparse.csc_matrix
     mass: np.ndarray
     c: np.ndarray
     kind: str
@@ -106,146 +114,163 @@ class OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# difference matrices
+# stencil pattern
 
 
-def _node_ids(grid):
-    return np.arange(grid.n_nodes).reshape(grid.shape)
-
-
-def _dvc_matrix(grid):
-    ids = _node_ids(grid)
-    rows = np.repeat(ids.ravel(), 2)
-    cols = np.stack([np.roll(ids, -1, axis=1).ravel(),
-                     np.roll(ids, 1, axis=1).ravel()], axis=1).ravel()
-    vals = np.tile([1.0, -1.0], grid.n_nodes) / (2.0 * grid.dv)
-    return sparse.csr_matrix((vals, (rows, cols)),
-                             shape=(grid.n_nodes, grid.n_nodes))
-
-
-def _duc_matrix(grid, boundary_points=3):
-    """Node-centered d/du for scalar fields: centered in the interior,
-    antipodal ghosts at poles/center, one-sided at the disk boundary over
-    ``boundary_points`` rings (3: second order; 2: stays within one ring)."""
-    ids = _node_ids(grid)
+def _stencil_blocks(grid):
+    """The couplings an assembled operator on ``grid`` can hold, as blocks
+    (di, dj, rings): row (i, j) of each ring i in ``rings`` couples to
+    column (i + di, j + dj mod n_v). They are the 9-point stencil, the
+    antipodal partners (dj = n_v/2 - 1, n_v/2, n_v/2 + 1) of the pole or
+    center rings, and the drift column two rings in from the disk boundary
+    (di = -2, the one-sided d/du)."""
     n_u, n_v = grid.shape
-    h2 = 2.0 * grid.du
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.broadcast_to(v, r.shape).ravel())
-
-    interior = ids[1:-1]
-    add(interior, ids[2:], 1.0 / h2)
-    add(interior, ids[:-2], -1.0 / h2)
-    anti0 = np.roll(ids[0], n_v // 2)
-    add(ids[0], ids[1], 1.0 / h2)
-    add(ids[0], anti0, -1.0 / h2)
-    if grid.topology == grids.SPHERE:
-        anti1 = np.roll(ids[-1], n_v // 2)
-        add(ids[-1], anti1, 1.0 / h2)
-        add(ids[-1], ids[-2], -1.0 / h2)
-    elif boundary_points == 2:
-        add(ids[-1], ids[-1], 2.0 / h2)
-        add(ids[-1], ids[-2], -2.0 / h2)
-    else:
-        add(ids[-1], ids[-1], 3.0 / h2)
-        add(ids[-1], ids[-2], -4.0 / h2)
-        add(ids[-1], ids[-3], 1.0 / h2)
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_nodes, grid.n_nodes))
-
-
-def _face_ops(plus, minus, h, n_nodes):
-    """Compact difference (plus - minus) / h and averaging maps from the
-    nodes onto the faces between the node pairs (plus, minus)."""
-    nf = plus.size
-    fid = np.arange(nf)
-    idx = (np.concatenate([fid, fid]), np.concatenate([plus, minus]))
-    D = sparse.csr_matrix(
-        (np.concatenate([np.full(nf, 1.0 / h), np.full(nf, -1.0 / h)]), idx),
-        shape=(nf, n_nodes))
-    Avg = sparse.csr_matrix((np.full(2 * nf, 0.5), idx), shape=(nf, n_nodes))
-    return D, Avg
-
-
-def _u_face_ops(grid):
-    """Face maps onto u-faces (between rings)."""
-    ids = _node_ids(grid)
-    return _face_ops(ids[1:].ravel(), ids[:-1].ravel(), grid.du, grid.n_nodes)
-
-
-def _v_face_ops(grid):
-    """Face maps onto v-faces (within rings)."""
-    ids = _node_ids(grid)
-    return _face_ops(np.roll(ids, -1, axis=1).ravel(), ids.ravel(), grid.dv,
-                     grid.n_nodes)
-
-
-def _dirichlet_energy(geometry):
-    """Exactly symmetric stiffness of the Dirichlet form int <grad u, grad v>.
-
-    Compact 9-point form with coefficients K = sqrt(g) g^{-1}: the u-face
-    family (between rings) alone carries the K^uu term and the v-face
-    family (within rings) alone the K^vv term, each at full weight, both
-    with two-point differences; the K^uv cross terms are averaged over the
-    two families, the v-faces of the disk boundary ring taking the
-    two-ring one-sided d/du. Every node couples only to its ring and
-    column neighbours (and, on the pole/center rings, to the antipodal
-    ones).
-    """
-    grid = geometry.grid
-    m = geometry.metric
-    kuu = (m.sqrt_det * m.iuu).ravel()
-    kuv = (m.sqrt_det * m.iuv).ravel()
-    kvv = (m.sqrt_det * m.ivv).ravel()
-
-    Du_f, Uavg = _u_face_ops(grid)
-    w_f = grid.du * grid.dv
-    a = sparse.diags(w_f * (Uavg @ kuu))
-    b = sparse.diags(0.5 * w_f * (Uavg @ kuv))
-    Gv_f = Uavg @ _dvc_matrix(grid)
-    cross = Du_f.T @ b @ Gv_f
-
-    Dv_g, Vavg = _v_face_ops(grid)
-    w_g = np.repeat(m.w_u, grid.n_v) * grid.dv
-    c = sparse.diags(w_g * (Vavg @ kvv))
-    b = sparse.diags(0.5 * w_g * (Vavg @ kuv))
-    Gu_g = Vavg @ _duc_matrix(grid, boundary_points=2)
-    cross = cross + Gu_g.T @ b @ Dv_g
-
-    # symmetric summands summed pairwise, so K is symmetric to the bit
-    return (Du_f.T @ a @ Du_f + Dv_g.T @ c @ Dv_g) + (cross + cross.T)
+    half = n_v // 2
+    blocks = [(di, dj % n_v, np.arange(max(0, -di), n_u - max(0, di)))
+              for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    closure = np.array([0] if grid.topology == grids.DISK else [0, n_u - 1])
+    blocks += [(0, half + dj, closure) for dj in (-1, 0, 1)]
+    if grid.topology == grids.DISK:
+        blocks.append((-2, 0, np.array([n_u - 1])))
+    return blocks
 
 
 def _stencil_pattern(grid):
-    """Row and column indices of every coupling an assembled operator on
-    ``grid`` can hold: the 9-point stencil, the antipodal partners of the
-    pole/center rings, and the drift column two rings in from the disk
-    boundary (the one-sided d/du). Sparse sums and products drop entries
-    that cancel to 0, so this, not the assembled matrix, is the structure
-    the factorization sees."""
-    ids = _node_ids(grid)
-    n_u, n_v = grid.shape
+    """Row and column indices of every coupling of ``_stencil_blocks``, in
+    block order. Assembly stores all of them (explicit zeros where entries
+    cancel), so this, not the values, is the structure the factorization
+    sees."""
+    n_v = grid.n_v
+    j = np.arange(n_v)
     rows, cols = [], []
-    for di in (-1, 0, 1):
-        lo, hi = max(0, -di), n_u - max(0, di)
-        for dj in (-1, 0, 1):
-            rows.append(ids[lo:hi])
-            cols.append(np.roll(ids, -dj, axis=1)[lo + di:hi + di])
-    closure = [0] if grid.topology == grids.DISK else [0, n_u - 1]
-    for i in closure:
-        for dj in (-1, 0, 1):
-            rows.append(ids[i])
-            cols.append(np.roll(ids[i], -(n_v // 2 + dj)))
-    if grid.topology == grids.DISK:
-        rows.append(ids[-1])
-        cols.append(ids[-3])
-    return (np.concatenate([r.ravel() for r in rows]),
-            np.concatenate([c.ravel() for c in cols]))
+    for di, dj, rings in _stencil_blocks(grid):
+        rows.append((rings[:, None] * n_v + j).ravel())
+        cols.append(((rings + di)[:, None] * n_v + (j + dj) % n_v).ravel())
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _weak_form(metric, c, drift_cov, robin_q):
+    """K of L = -Laplace + 2 <W, grad .> + c in weak form, written straight
+    into the CSC structure of the grid's ``_stencil_pattern``.
+
+    K is the Dirichlet energy (below), plus c M on the diagonal, minus the
+    Robin boundary term q dl on the boundary ring when ``robin_q`` is
+    given, plus M times the node-centred drift 2 W^u d/du + 2 W^v d/dv when
+    ``drift_cov`` is (d/du centred, with antipodal ghosts at the poles or
+    center and the one-sided (3, -4, 1) at the disk boundary).
+
+    The Dirichlet energy is the compact 9-point form of int <grad u, grad v>
+    with coefficients sqrt(g) g^{-1}: the u-faces (between rings) alone
+    carry the uu term and the v-faces (within rings) alone the vv term,
+    both with two-point differences; the uv cross terms are averaged over
+    the two face families, the v-faces taking the node-centred d/du (its
+    antipodal ghosts at the poles or center, the two-ring one-sided
+    difference at the disk boundary). The cross terms X enter as X + X^T,
+    each entry the sum of the same two numbers as its mirror, so the
+    energy is symmetric to the bit, and exact on constants.
+    """
+    grid = metric.grid
+    n_u, n_v = grid.shape
+    du, dv = grid.du, grid.dv
+    half = n_v // 2
+    disk = grid.topology == grids.DISK
+    every, lower, upper = slice(None), slice(0, -1), slice(1, None)
+    first, last, inner = slice(0, 1), slice(n_u - 1, n_u), slice(1, n_u - 1)
+    blocks = _stencil_blocks(grid)
+    # K[di, dj][i, j]: the entry of row (i, j) at column (i + di, j + dj)
+    K = {(di, dj): np.zeros(grid.shape) for di, dj, _ in blocks}
+    # the cross terms stay within the 9-point stencil and the antipodal
+    # partners, a set of offsets closed under mirroring
+    X = {(di, dj): np.zeros(grid.shape) for di, dj, _ in blocks
+         if abs(di) <= 1}
+
+    def add(vals, di, dj, rings, value):
+        vals[di, dj % n_v][rings] += value
+
+    kuu = metric.sqrt_det * metric.iuu
+    kuv = metric.sqrt_det * metric.iuv
+    kvv = metric.sqrt_det * metric.ivv
+    w_u = metric.w_u[:, None]
+
+    # uu term on the u-face between rings i and i + 1
+    a = dv / du * 0.5 * (kuu[:-1] + kuu[1:])
+    add(K, 0, 0, lower, a)
+    add(K, 0, 0, upper, a)
+    add(K, 1, 0, lower, -a)
+    add(K, -1, 0, upper, -a)
+    # vv term on the v-face between columns j and j + 1
+    cv = w_u / dv * 0.5 * (kvv + np.roll(kvv, -1, axis=1))
+    cv_prev = np.roll(cv, 1, axis=1)
+    add(K, 0, 0, every, cv + cv_prev)
+    add(K, 0, 1, every, -cv)
+    add(K, 0, -1, every, -cv_prev)
+
+    # cross term of the u-faces: d/du across the face times the face
+    # average of the centred d/dv of its two nodes
+    b = (kuv[:-1] + kuv[1:]) / 16.0
+    for dj, sign in ((1, -1.0), (-1, 1.0)):
+        add(X, 0, dj, lower, sign * b)
+        add(X, 1, dj, lower, sign * b)
+        add(X, -1, dj, upper, -sign * b)
+        add(X, 0, dj, upper, -sign * b)
+
+    # cross term of the v-faces: d/dv across the face times the face
+    # average of the node-centred d/du of its two nodes. ``ew`` is the
+    # v-face's weight times the coefficient that the d/du of a ring gives
+    # the ring above it (minus that on the ring below); ``reach`` puts it
+    # on row ring i + di, columns shifted by sigma (n_v/2 for an antipodal
+    # ghost).
+    ew = w_u * (kuv + np.roll(kuv, -1, axis=1)) / (16.0 * du)
+    if disk:
+        ew[-1] *= 2.0       # (phi_{n-1} - phi_{n-2}) / du
+
+    def reach(value, di, rings, sigma):
+        at_j = np.roll(value, sigma, axis=1)
+        at_next = np.roll(value, sigma + 1, axis=1)
+        add(X, -di, 1 - sigma, rings, at_j)
+        add(X, -di, -sigma, rings, at_next - at_j)
+        add(X, -di, -1 - sigma, rings, -at_next)
+
+    reach(ew[:-1], 1, upper, 0)
+    reach(-ew[1:], -1, lower, 0)
+    reach(-ew[:1], 0, first, half)
+    reach(ew[-1:], 0, last, 0 if disk else half)
+
+    # X + X^T; rows outside a block's rings are never read, so the rolls
+    # may wrap around in u
+    for di, dj in X:
+        back = np.roll(X[-di, -dj % n_v], (-di, -dj), axis=(0, 1))
+        K[di, dj] += X[di, dj] + back
+
+    mass = metric.dmu
+    add(K, 0, 0, every, np.reshape(c, grid.shape) * mass)
+    if robin_q is not None:
+        add(K, 0, 0, last, -robin_q * metric.boundary_line_element())
+    if drift_cov is not None:
+        wu, wv = metric.raise_covector(drift_cov[..., 0], drift_cov[..., 1])
+        fu, fv = mass * wu / du, mass * wv / dv
+        add(K, 0, 1, every, fv)
+        add(K, 0, -1, every, -fv)
+        add(K, 1, 0, lower, fu[:-1])
+        add(K, -1, 0, inner, -fu[inner])
+        add(K, 0, half, first, -fu[:1])
+        if disk:
+            add(K, 0, 0, last, 3.0 * fu[-1:])
+            add(K, -1, 0, last, -4.0 * fu[-1:])
+            add(K, -2, 0, last, fu[-1:])
+        else:
+            add(K, 0, half, last, fu[-1:])
+            add(K, -1, 0, last, -fu[-1:])
+
+    # CSC: the pattern sorted by column, then row
+    n = grid.n_nodes
+    rows, cols = _stencil_pattern(grid)
+    order = np.argsort(cols * n + rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    values = np.concatenate([K[di, dj][rings].ravel()
+                             for di, dj, rings in blocks])
+    return sparse.csc_matrix((values[order], rows[order], indptr),
+                             shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -305,35 +330,18 @@ def assemble(spec):
         raise ValueError(f"unknown operator kind {spec.kind!r}")
     c2d, drift_cov = _COEFFICIENTS[spec.kind](spec)
     c = np.asarray(c2d, dtype=float).ravel()
-    mass = geom.metric.dmu.ravel()
-
-    K = _dirichlet_energy(geom) + sparse.diags(c * mass)
 
     warnings = []
-    if robin_q is not None:
-        dl = geom.metric.boundary_line_element()
-        bid = grid.boundary_index
-        K = K - sparse.csr_matrix(
-            (robin_q * dl, (bid, bid)), shape=(grid.n_nodes, grid.n_nodes))
-        if spec.kind in (MOTS_L, HSTAB_NORMAL, HSTAB_MINUS_LMINUS) \
-                and np.max(robin_q) > 0.0:
-            warnings.append(
-                "q > 0 somewhere on the boundary: the sign hypothesis of the "
-                "principal-eigenvalue theorem (beta = -q >= 0) is violated")
-
-    symmetric = drift_cov is None
-    if drift_cov is not None:
-        wu, wv = geom.metric.raise_covector(drift_cov[..., 0],
-                                            drift_cov[..., 1])
-        drift = (sparse.diags(2.0 * wu.ravel()) @ _duc_matrix(grid)
-                 + sparse.diags(2.0 * wv.ravel()) @ _dvc_matrix(grid))
-        if np.max(np.abs(drift_cov)) == 0.0:
-            symmetric = True
-        K = K + sparse.diags(mass) @ drift
-
-    return OperatorMatrix(n=grid.n_nodes, weak=K.tocsr(), mass=mass, c=c,
-                          kind=spec.kind, symmetric=symmetric,
-                          robin_q=robin_q, geometry=geom, warnings=warnings)
+    if robin_q is not None and np.max(robin_q) > 0.0 \
+            and spec.kind in (MOTS_L, HSTAB_NORMAL, HSTAB_MINUS_LMINUS):
+        warnings.append(
+            "q > 0 somewhere on the boundary: the sign hypothesis of the "
+            "principal-eigenvalue theorem (beta = -q >= 0) is violated")
+    return OperatorMatrix(
+        n=grid.n_nodes, weak=_weak_form(geom.metric, c, drift_cov, robin_q),
+        mass=geom.metric.dmu.ravel(), c=c, kind=spec.kind,
+        symmetric=drift_cov is None or np.max(np.abs(drift_cov)) == 0.0,
+        robin_q=robin_q, geometry=geom, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +355,9 @@ class EigenResult:
     residual: float
     iterations: int
     positive: bool
-    adjoint_lambda1: float
+    shift: float            # the final delta of K + delta M
+    backward_error: float   # the convergence quantity of the eigenpair
     warnings: list
-
-    @property
-    def adjoint_gap(self):
-        return abs(self.lambda1 - self.adjoint_lambda1)
 
 
 # Arnoldi basis size: scipy's default of 20 would make every eigensolve
@@ -366,24 +371,27 @@ _SHIFT_ATTEMPTS = 8
 
 
 def _shifted_matrix(opmat, delta):
-    """K + delta M in CSC form over the grid's full stencil pattern
-    (explicit zeros where entries cancel), so the factorization's ordering
-    and fill depend on the grid alone."""
-    k = opmat.weak.tocoo()
-    rows, cols = _stencil_pattern(opmat.geometry.grid)
-    diag = np.arange(opmat.n)
-    return sparse.coo_matrix(
-        (np.concatenate([k.data, delta * opmat.mass, np.zeros(rows.size)]),
-         (np.concatenate([k.row, diag, rows]),
-          np.concatenate([k.col, diag, cols]))),
-        shape=k.shape).tocsc()
+    """K + delta M in CSC form: a copy of K plus delta M on its diagonal
+    slots. An assembled K holds the grid's full stencil pattern (explicit
+    zeros where entries cancel), so the factorization's ordering and fill
+    depend on the grid alone."""
+    shifted = opmat.weak.tocsc(copy=True)
+    diagonal = shifted.indices == np.repeat(np.arange(opmat.n),
+                                            np.diff(shifted.indptr))
+    shifted.data[diagonal] += delta * opmat.mass
+    return shifted
 
 
 def _shift(opmat):
-    """delta that makes K + delta M positive: above -min c by 1, plus the
-    largest boundary term q dl / M of a Robin q > 0 (bounded by max q times
-    max dl / M)."""
-    delta = max(0.0, -float(np.min(opmat.c))) + 1.0
+    """First delta of K + delta M: above -min c by 4 pi / |Sigma| (|Sigma|
+    the sum of the lumped mass; the lowest nonzero eigenvalue of -Laplace
+    on a round sphere is 8 pi / |Sigma|), plus the largest boundary term
+    q dl / M of a Robin q > 0 (bounded by max q times max dl / M). The
+    resolvent converges as |(lambda_1 + delta) / (lambda_2 + delta)|, so a
+    delta that scales with the surface keeps that ratio small on large
+    surfaces, where a fixed unit part would sit far above the gap."""
+    delta = max(0.0, -float(np.min(opmat.c))) + 4.0 * np.pi / float(
+        np.sum(opmat.mass))
     if opmat.robin_q is not None and np.max(opmat.robin_q) > 0.0:
         metric = opmat.geometry.metric
         boundary_mass = opmat.mass[opmat.geometry.grid.boundary_index]
@@ -398,9 +406,9 @@ def _factor(opmat, delta):
     return splu(_shifted_matrix(opmat, delta), permc_spec="MMD_AT_PLUS_A")
 
 
-def _factors(opmat):
+def factors(opmat):
     """``factor(delta)``: the ``_factor`` of K + delta M, made once per shift
-    and held until another shift is asked for."""
+    and held until another shift is asked for (or the caller drops it)."""
     held = {}
 
     def factor(delta):
@@ -476,28 +484,23 @@ def _principal(weak, mass, factor, trans, delta):
     return lam, vec, applications, delta
 
 
-def principal_eigenvalue(opmat):
-    """Principal eigenvalue, eigenfunction and adjoint eigenvalue.
+def principal_eigenvalue(opmat, factor=None):
+    """Principal eigenvalue and eigenfunction of the pencil (K, M).
 
     Shift-invert Arnoldi (ARPACK) on the positive resolvent
-    (K + delta M)^{-1} M, with delta from ``_shift`` (c + delta > 0, with
-    room for a Robin q > 0) and enlarged while the dominant eigenvalue xi
-    is not real and positive with a one-signed eigenvector; then
-    lambda_1 = 1/xi - delta. K + delta M is factorized once (``_factor``)
-    and its transposed solves give the adjoint eigenvalue, which for a
-    symmetric pencil is lambda_1 itself. A constant eigenfunction is
-    recognised before any solve. The eigenpair must meet a backward error
-    of 1e-12, else IterationFailureError. ``iterations`` counts the forward
-    resolvent applications.
+    (K + delta M)^{-1} M, with delta from ``_shift`` (c + delta > 0 by a
+    part that scales with the surface, with room for a Robin q > 0) and
+    enlarged while the dominant eigenvalue xi is not real and positive
+    with a one-signed eigenvector; then lambda_1 = 1/xi - delta. K + delta
+    M is factorized once, through ``factor`` (a ``factors(opmat)``, made
+    here when not given; a caller that wants the adjoint eigenvalue passes
+    its own and hands it on to ``adjoint_eigenvalue``). A constant
+    eigenfunction is recognised before any solve. The eigenpair must meet
+    a backward error of 1e-12, else IterationFailureError. ``iterations``
+    counts the resolvent applications and ``shift`` is the final delta.
     """
-    factor = _factors(opmat)
     lam, vec, applications, delta = _principal(
-        opmat.weak, opmat.mass, factor, "N", _shift(opmat))
-    if opmat.symmetric:
-        lam_adj = lam
-    else:
-        lam_adj = _principal(opmat.weak.T, opmat.mass, factor, "T", delta)[0]
-
+        opmat.weak, opmat.mass, factor or factors(opmat), "N", _shift(opmat))
     resid = (np.max(np.abs(opmat.weak @ vec / opmat.mass - lam * vec))
              / np.max(np.abs(vec)))
     return EigenResult(
@@ -506,8 +509,18 @@ def principal_eigenvalue(opmat):
         residual=float(resid),
         iterations=applications,
         positive=bool(np.min(vec) > 0.0),
-        adjoint_lambda1=lam_adj,
+        shift=delta,
+        backward_error=_backward_error(opmat.weak, opmat.mass, lam, vec),
         warnings=list(opmat.warnings))
+
+
+def adjoint_eigenvalue(opmat, factor, delta):
+    """Principal eigenvalue of the adjoint pencil (K^T, M): the same
+    Arnoldi iteration on transposed solves of ``factor(delta)``, the
+    factor a ``principal_eigenvalue`` call made at its final shift, so no
+    second factorization is made. Equal to lambda_1 up to the solver's
+    accuracy; a symmetric pencil is its own adjoint."""
+    return _principal(opmat.weak.T, opmat.mass, factor, "T", delta)[0]
 
 
 def _lowest(opmat, count, factor, sigma):
@@ -539,14 +552,14 @@ def symmetric_spectrum(opmat, count):
     """Lowest eigenvalues of a symmetric pencil (stiffness vs lumped mass):
     ARPACK in shift-invert mode at sigma = -delta, with the inverse of
     K - sigma M applied through ``_factor``."""
-    return _lowest(opmat, count, _factors(opmat), -_shift(opmat))[0]
+    return _lowest(opmat, count, factors(opmat), -_shift(opmat))[0]
 
 
 def morse_index(opmat):
     """Number of eigenvalues below -1e-8 max(1, max |lambda|) of the
     symmetrized stability form, asking for twice as many until one is not;
     every round starts at the last round's shift and reuses its factor."""
-    factor, sigma = _factors(opmat), -_shift(opmat)
+    factor, sigma = factors(opmat), -_shift(opmat)
     k = 8
     while True:
         vals, sigma = _lowest(opmat, k, factor, sigma)

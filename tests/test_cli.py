@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motslab import cli
+from motslab import cli, spectra
 
 
 def run(args, tmp_path, sub="run"):
@@ -356,3 +356,65 @@ def test_non_finite_config_value_exits_3(tmp_path, capsys):
                    "--grid", "16x32"], tmp_path)
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def record_solves(monkeypatch):
+    """Wrap every factor spectra makes; returns the list of its splu calls
+    and the list of the ``trans`` of every solve on those factors."""
+    factors, solves = [], []
+    splu = spectra.splu
+
+    class Recording:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs, trans="N"):
+            solves.append(trans)
+            return self.lu.solve(rhs, trans=trans)
+
+    def recording(*args, **kwargs):
+        factors.append(args[0].shape)
+        return Recording(splu(*args, **kwargs))
+
+    monkeypatch.setattr(spectra, "splu", recording)
+    return factors, solves
+
+
+_PG_OFF = ["--data", "schwarzschild-pg:m=1",
+           "--surface", "sphere:r=4.1,cx=0.45"]
+_DISK = ["--data", "minkowski", "--surface",
+         "disk:r=1,z=0.3,support=cylinder:r=1"]
+
+
+def test_audits_make_no_transposed_solve(monkeypatch, tmp_path):
+    # no audit reads an adjoint eigenvalue, so none solves with K^T; the
+    # off-centre spheres have no constant eigenfunction, so solves happen
+    _, solves = record_solves(monkeypatch)
+    pg = ["--data", "schwarzschild-pg:m=1", "--surface"]
+    for theorem, where in (("hawking-bound", pg + ["sphere:r=3"]),
+                           ("cy-estimate", _PG_OFF),
+                           ("g-quantity", _PG_OFF),
+                           ("cohn-vossen", pg + ["sphere:r=2"]),
+                           ("growth-bounds", _PG_OFF + ["--c", "1"]),
+                           ("area-boundary", _DISK),
+                           ("diameter", _DISK)):
+        code, _ = run(["audit", "--theorem", theorem, "--grid", "16x32"]
+                      + where, tmp_path, theorem)
+        assert code in (0, 1, 2)
+    assert solves and "T" not in solves
+
+
+def test_offcentre_eigen_factors_once(monkeypatch, tmp_path):
+    # the adjoint eigenvalue of the eigen command takes transposed solves
+    # of the forward factor, at the forward shift: one splu per job
+    factors, solves = record_solves(monkeypatch)
+    code, out = run(["eigen", "--operator", "L", "--grid", "32x64"]
+                    + _PG_OFF[:2] + ["--surface", "sphere:r=1,cx=0.4"],
+                    tmp_path)
+    assert code == 0
+    assert len(factors) == 1
+    assert "N" in solves and "T" in solves
+    with open(out / "eigen.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    lam, adjoint = float(row["lambda1"]), float(row["adjoint_lambda1"])
+    assert abs(adjoint - lam) <= 1e-9 * abs(lam)

@@ -523,11 +523,8 @@ def collar_infimum(data, geom, zeta, which="dec"):
     zeta = float(zeta)
     svals = np.linspace(-zeta, zeta, 11)
     if which == "dec":
-        best = np.inf
-        for s in svals:
-            jet = idata.evaluate(data, np.moveaxis(geom.F + s * geom.N, -1, 0))
-            best = min(best, float(np.min(jet.mu - jet.j_norm)))
-        return best
+        collar = (np.moveaxis(geom.F + s * geom.N, -1, 0) for s in svals)
+        return min(idata.dec_margin(data, x) for x in collar)
     if which == "boundary":
         if geom.boundary is None:
             raise TopologyError("boundary collar requires a disk surface")

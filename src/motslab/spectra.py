@@ -30,37 +30,26 @@ eigenpair only: no audit reads the adjoint eigenvalue. The eigen command
 asks ``adjoint_eigenvalue`` for it, which runs transposed solves on the
 forward factor at the forward shift.
 
-Every eigensolver factorizes through one helper, ``_factor``: SuperLU of
+Both solves factorize through one helper, ``_factor``: SuperLU of
 K + delta M (``_shifted_matrix``: a copy of K with delta M on the
 diagonal slots) over the fixed stencil pattern, ordered by minimum
 degree on the pattern of A^T + A. The pattern is symmetric, so this
 ordering roughly halves the fill of the column ordering (COLAMD) meant
-for unsymmetric patterns. The principal eigenvalue, its adjoint and the lowest
-eigenvalues of a symmetric pencil (``eigsh``, handed the factor's solve
-as its shift-inverse) get the factor from ``factors``, which makes it
-once per shift; no solver factorizes on its own. Every audit's lambda_1
-is a principal eigenvalue; ``eigsh`` serves the Morse index.
+for unsymmetric patterns. The principal eigenvalue and its adjoint get
+the factor from ``factors``, which makes it once per shift. Every
+audit's lambda_1 is a principal eigenvalue.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import (
-    ArpackError,
-    LinearOperator,
-    eigs,
-    eigsh,
-    splu,
-)
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
+# unused here; perfbench/tracing.py wraps spectra.eigsh, so the name stays
+from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from . import grids, surfaces
-from .errors import (
-    IterationFailureError,
-    NotAMOTSError,
-    TopologyError,
-    UnsupportedOperationError,
-)
+from .errors import IterationFailureError, NotAMOTSError, TopologyError
 
 MOTS_L = "MotsL"
 MOTS_LS = "MotsLs"
@@ -106,7 +95,6 @@ class OperatorMatrix:
     weak: sparse.csc_matrix
     mass: np.ndarray
     c: np.ndarray
-    kind: str
     symmetric: bool
     robin_q: np.ndarray | None
     geometry: surfaces.SurfaceGeometry
@@ -339,7 +327,7 @@ def assemble(spec):
             "principal-eigenvalue theorem (beta = -q >= 0) is violated")
     return OperatorMatrix(
         n=grid.n_nodes, weak=_weak_form(geom.metric, c, drift_cov, robin_q),
-        mass=geom.metric.dmu.ravel(), c=c, kind=spec.kind,
+        mass=geom.metric.dmu.ravel(), c=c,
         symmetric=drift_cov is None or np.max(np.abs(drift_cov)) == 0.0,
         robin_q=robin_q, geometry=geom, warnings=warnings)
 
@@ -521,52 +509,6 @@ def adjoint_eigenvalue(opmat, factor, delta):
     second factorization is made. Equal to lambda_1 up to the solver's
     accuracy; a symmetric pencil is its own adjoint."""
     return _principal(opmat.weak.T, opmat.mass, factor, "T", delta)[0]
-
-
-def _lowest(opmat, count, factor, sigma):
-    """Lowest ``count`` eigenvalues of a symmetric pencil by ARPACK in
-    shift-invert mode at ``sigma`` over ``factor(-sigma)``, retried once at
-    2 lambda_min - sigma if they land below sigma; and the final sigma."""
-    if not opmat.symmetric:
-        raise UnsupportedOperationError("symmetric spectra and the Morse "
-                                        "index require a symmetric operator")
-    M = sparse.diags(opmat.mass)
-    count = min(count, opmat.n - 2)
-    v0 = np.ones(opmat.n)
-
-    def lowest(sigma):
-        opinv = LinearOperator((opmat.n, opmat.n),
-                               matvec=factor(-sigma).solve, dtype=float)
-        return np.sort(eigsh(opmat.weak, k=count, M=M, sigma=sigma,
-                             which="LM", v0=v0, rng=0, OPinv=opinv,
-                             return_eigenvectors=False))
-
-    vals = lowest(sigma)
-    if vals[0] < sigma:
-        sigma = 2.0 * vals[0] - sigma
-        vals = lowest(sigma)
-    return vals, sigma
-
-
-def symmetric_spectrum(opmat, count):
-    """Lowest eigenvalues of a symmetric pencil (stiffness vs lumped mass):
-    ARPACK in shift-invert mode at sigma = -delta, with the inverse of
-    K - sigma M applied through ``_factor``."""
-    return _lowest(opmat, count, factors(opmat), -_shift(opmat))[0]
-
-
-def morse_index(opmat):
-    """Number of eigenvalues below -1e-8 max(1, max |lambda|) of the
-    symmetrized stability form, asking for twice as many until one is not;
-    every round starts at the last round's shift and reuses its factor."""
-    factor, sigma = factors(opmat), -_shift(opmat)
-    k = 8
-    while True:
-        vals, sigma = _lowest(opmat, k, factor, sigma)
-        tol = 1e-8 * max(1.0, float(np.max(np.abs(vals))))
-        if vals[-1] >= -tol or k >= opmat.n - 2:
-            return int(np.sum(vals < -tol))
-        k = min(2 * k, opmat.n - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -437,32 +437,6 @@ class SurfaceGeometry:
             raise TopologyError("surface has no boundary")
         return float(np.sum(self.boundary.length_element))
 
-    def with_overrides(self, mu=None, J_N=None, W_cov=None, dec=None):
-        """Copy with injected synthetic fields; Q and the W-derived fields
-        are recomputed so operator assembly stays self-consistent."""
-        new = replace(self)
-        if mu is not None:
-            new.mu = np.broadcast_to(np.asarray(mu, float), self.mu.shape).copy()
-        if J_N is not None:
-            new.J_N = np.broadcast_to(np.asarray(J_N, float), self.J_N.shape).copy()
-        if dec is not None:
-            margin = np.broadcast_to(np.asarray(dec, float), self.mu.shape)
-            new.mu = margin + new.j_norm
-        if W_cov is not None:
-            new.W_cov = np.asarray(W_cov, float)
-            wu, wv = new.metric.raise_covector(new.W_cov[..., 0],
-                                               new.W_cov[..., 1])
-            new.divW = divergence(new.metric, (wu, wv))
-            new.W2 = new.metric.norm2_covector(new.W_cov[..., 0],
-                                               new.W_cov[..., 1])
-            if new.boundary is not None:
-                nb = replace(new.boundary)
-                nb.W_nu = (new.W_cov[-1, :, 0] * nb.nu_chart[..., 0]
-                           + new.W_cov[-1, :, 1] * nb.nu_chart[..., 1])
-                new.boundary = nb
-        new.Q = 0.5 * new.R_S - new.mu - new.J_N - 0.5 * new.chi_p2
-        return new
-
 
 def _sym2_dot(ginv2, S, T):
     """<S, T> = g^{ac} g^{bd} S_ab T_cd for stacked 2x2 symmetric fields, by

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from synthetic_fields import with_overrides
 from motslab import audits, cli, grids, initialdata as idata, spectra, surfaces
 from motslab.grids import (
     boundary_geodesic_curvature,
@@ -194,7 +195,7 @@ def test_criterion_6_symmetric_comparison():
         conj = spectra.OperatorMatrix(
             n=op_s.n, weak=(sparse.diags(np.exp(-h)) @ op_s.weak
                             @ sparse.diags(np.exp(h))).tocsr(),
-            mass=op_s.mass, c=op_s.c, kind=spectra.MOTS_L, symmetric=False,
+            mass=op_s.mass, c=op_s.c, symmetric=False,
             robin_q=None, geometry=geom)
         cases.append((tag, lam(conj), lam(op_s), True))
 
@@ -311,7 +312,7 @@ def test_criterion_9_audit_soundness():
                    all(v < 1e-6 for _, v in rep.equality_diagnostics)))
 
     # diameter with injected energy: arithmetic and flag precedence
-    synth = disk.with_overrides(dec=3.0)
+    synth = with_overrides(disk, dec=3.0)
     rep = audits.audit_diameter(synth)
     checks.append(("diameter bound",
                    abs(rep.extras["bound_dec"] - 2.0 * np.pi / 3.0) < 1e-12))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from synthetic_fields import with_overrides
 from motslab import audits, grids, initialdata as idata, spectra, surfaces
 from motslab.audits import (
     HOLDS,
@@ -247,21 +248,32 @@ def test_theorem_481_report():
 
 
 def _record_solves(monkeypatch):
-    kinds = []
-    solve = spectra.principal_eigenvalue
+    """The spec kind of each ``spectra.assemble`` call, and the kind of the
+    assembled operator of each ``principal_eigenvalue`` call, in order."""
+    assembled, solved, ops = [], [], []
+    assemble, solve = spectra.assemble, spectra.principal_eigenvalue
 
-    def recorded(opmat, *args, **kwargs):
-        kinds.append(opmat.kind)
+    def recorded_assemble(spec):
+        opmat = assemble(spec)
+        assembled.append(spec.kind)
+        ops.append(opmat)
+        return opmat
+
+    def recorded_solve(opmat, *args, **kwargs):
+        solved.append(next(kind for kind, op in zip(assembled, ops)
+                           if op is opmat))
         return solve(opmat, *args, **kwargs)
 
-    monkeypatch.setattr(spectra, "principal_eigenvalue", recorded)
-    return kinds
+    monkeypatch.setattr(spectra, "assemble", recorded_assemble)
+    monkeypatch.setattr(spectra, "principal_eigenvalue", recorded_solve)
+    return assembled, solved
 
 
 def test_theorem_481_solves_once(monkeypatch):
-    kinds = _record_solves(monkeypatch)
+    assembled, solved = _record_solves(monkeypatch)
     audit_theorem_481(sphere_geom(1.5, n=16))
-    assert kinds == [spectra.CUSTOM_SYMMETRIC, spectra.HSTAB_MINUS_LMINUS]
+    assert assembled == solved == [spectra.CUSTOM_SYMMETRIC,
+                                   spectra.HSTAB_MINUS_LMINUS]
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +281,9 @@ def test_theorem_481_solves_once(monkeypatch):
 
 
 def test_I_sigma_solves_each_operator_once(monkeypatch):
-    kinds = _record_solves(monkeypatch)
+    assembled, solved = _record_solves(monkeypatch)
     audit_I_sigma(disk_geom(16))
-    assert kinds == [spectra.MOTS_L, spectra.MOTS_LS]
+    assert assembled == solved == [spectra.MOTS_L, spectra.MOTS_LS]
 
 
 def test_I_sigma_raises_when_L_solve_fails(monkeypatch):
@@ -355,7 +367,7 @@ def test_index_bounds_property_grid():
 
 def test_diameter_synthetic_flag_precedence():
     geom = disk_geom(32)
-    synth = geom.with_overrides(dec=3.0)
+    synth = with_overrides(geom, dec=3.0)
     rep = audit_diameter(synth)
     # the diameter part holds with margin ~ 2 pi/3 - 2 ~ 0.094, but the
     # injected energy makes the disk unstable: flag precedence wins

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 import stiffness_oracle
+from synthetic_fields import with_overrides
 from motslab import grids, initialdata as idata, spectra, surfaces
 from motslab.errors import (
     IterationFailureError,
@@ -16,11 +18,9 @@ from motslab.grids import make_grid
 from motslab.spectra import (
     OperatorSpec,
     assemble,
-    morse_index,
     principal_eigenvalue,
     robin_coefficient,
     stability_verdict,
-    symmetric_spectrum,
 )
 from motslab.surfaces import (
     compute_geometry,
@@ -62,6 +62,15 @@ def dirichlet_energy(geom):
     the free boundary q)."""
     return assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
                                  c_field=np.zeros(geom.grid.shape))).weak
+
+
+def lowest_eigenvalues(op, count):
+    """Lowest ``count`` eigenvalues of a symmetric pencil (K, diag(mass)),
+    ascending: ARPACK Lanczos in shift-invert mode at sigma = -delta, the
+    principal solve's first shift, which lies below the spectrum."""
+    return np.sort(eigsh(op.weak, k=count, M=sparse.diags(op.mass),
+                         sigma=-spectra._shift(op), which="LM",
+                         v0=np.ones(op.n), rng=0, return_eigenvectors=False))
 
 
 def test_row_sums_vanish_on_constants():
@@ -126,7 +135,7 @@ def test_laplace_spectrum_second_order():
         geom = unit_sphere_geom(n)
         op = assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
                                    c_field=np.zeros(geom.grid.shape)))
-        vals = symmetric_spectrum(op, 9)
+        vals = lowest_eigenvalues(op, 9)
         errors.append((np.max(np.abs(vals[1:4] - 2.0)),
                        np.max(np.abs(vals[4:9] - 6.0))))
     (l1_coarse, l2_coarse), (l1_fine, l2_fine) = errors
@@ -257,19 +266,9 @@ def test_round_sphere_low_spectrum():
     geom = unit_sphere_geom(32)
     op = assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
                                c_field=np.zeros(geom.grid.shape)))
-    vals = symmetric_spectrum(op, 4)
+    vals = lowest_eigenvalues(op, 4)
     assert abs(vals[0]) < 1e-8
     assert np.max(np.abs(vals[1:] - 2.0)) < 0.02
-
-
-def test_morse_index_shifted_laplacian():
-    geom = unit_sphere_geom(32)
-    op = assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
-                               c_field=np.full(geom.grid.shape, -2.5)))
-    # spectrum is {-2.5, -0.5 x3, 3.5 x5, ...}: four negatives
-    assert morse_index(op) == 4
-    op0 = assemble(OperatorSpec(spectra.MOTS_LS, horizon_geom(32)))
-    assert morse_index(op0) == 0
 
 
 def test_gauge_similarity_conjugated_operator():
@@ -285,7 +284,7 @@ def test_gauge_similarity_conjugated_operator():
     lam_inv = sparse.diags(np.exp(-h))
     conj = spectra.OperatorMatrix(
         n=op_s.n, weak=(lam_inv @ op_s.weak @ lam).tocsr(),
-        mass=op_s.mass, c=op_s.c, kind=spectra.MOTS_L, symmetric=False,
+        mass=op_s.mass, c=op_s.c, symmetric=False,
         robin_q=None, geometry=geom)
     res_c = principal_eigenvalue(conj)
     assert abs(res_c.lambda1 - res_s.lambda1) < 1e-6
@@ -300,7 +299,7 @@ def test_formula_assembled_gradient_drift_consistency():
     h = 0.3 * np.cos(U)
     w_cov = np.stack([grids.d_u(geom.grid, h, 1.0),
                       grids.d_v(geom.grid, h)], -1)
-    synth = geom.with_overrides(W_cov=w_cov)
+    synth = with_overrides(geom, W_cov=w_cov)
     res_w = principal_eigenvalue(assemble(OperatorSpec(spectra.MOTS_L, synth)))
     res_s = principal_eigenvalue(assemble(OperatorSpec(spectra.MOTS_LS, geom)))
     assert abs(res_w.lambda1 - res_s.lambda1) < 5e-3
@@ -347,11 +346,6 @@ def test_robin_capillary_coefficient_and_guards():
     assert np.max(np.abs(q_cap - ball.boundary.Pi_NN)) < 1e-10
     with pytest.raises(ValueError):
         robin_coefficient(ball, spectra.Q_CAPILLARY, gamma=None)
-    off = compute_geometry(
-        sphere_chart(make_grid(grids.SPHERE, 16, 32), 1.0, (0.4, 0.0, 0.0)),
-        idata.schwarzschild_pg(1.0))
-    with pytest.raises(UnsupportedOperationError):
-        symmetric_spectrum(assemble(OperatorSpec(spectra.MOTS_L, off)), 2)
 
 
 def test_hstab_operators_assemble():
@@ -383,7 +377,7 @@ def test_stability_verdict_manufactured_gradient_w():
     h = 0.25 * np.cos(U)
     w_cov = np.stack([grids.d_u(geom.grid, h, 1.0),
                       grids.d_v(geom.grid, h)], -1)
-    synth = geom.with_overrides(W_cov=w_cov)
+    synth = with_overrides(geom, W_cov=w_cov)
     verdict = stability_verdict(synth)
     assert verdict.comparison_ok
     assert verdict.lambda1_L <= verdict.lambda1_Ls + 1e-7
@@ -547,7 +541,7 @@ def test_factor_input_has_the_grid_pattern():
                       n, 1.0, (0.4, 0.0, 0.0))))]
     disk_ops = [assemble(spectra.mots_spec(flat)),
                 assemble(spectra.mots_spec(twisted_disk_geom(n))),
-                assemble(spectra.mots_spec(flat.with_overrides(W_cov=drift)))]
+                assemble(spectra.mots_spec(with_overrides(flat, W_cov=drift)))]
     n_nodes, n_v = ellipsoid.grid.n_nodes, ellipsoid.grid.n_v
     for ops, expected in ((sphere_ops, 9 * n_nodes),
                           (disk_ops, 9 * n_nodes - 2 * n_v)):
@@ -603,18 +597,6 @@ def test_positive_robin_q_shift_factors_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("c, index", [(-20.0, 25), (-60.0, 69)])
-def test_morse_index_factors_once(monkeypatch, c, index):
-    # the count of eigenvalues asked for doubles (8, 16, ...) at one shift,
-    # and every round reuses the first round's factor
-    calls = count_factors(monkeypatch)
-    geom = unit_sphere_geom(16)
-    op = assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
-                               c_field=np.full(geom.grid.shape, c)))
-    assert morse_index(op) == index
-    assert len(calls) == 1
-
-
 def test_scale_aware_shift_needs_fewer_applications():
     # the first shift's part above -min c is 4 pi / |Sigma|, not 1: on the
     # large PG r = 4.1 sphere (|Sigma| = 211) and on the off-centre m = 2
@@ -643,32 +625,10 @@ def test_minimum_degree_factor_fill():
     assert spectra._factor(op, spectra._shift(op)).nnz <= 700_000
 
 
-def test_symmetric_spectrum_factors_through_the_shared_helper(monkeypatch):
-    # eigsh gets the shift-inverse from spectra's own factor: one splu per
-    # shift, and the value of the solver that factorized inside eigsh
-    calls = count_factors(monkeypatch)
-    op = assemble(OperatorSpec(spectra.MOTS_LS,
-                               pg_sphere_geom(16, 1.0, (0.4, 0.0, 0.0))))
-    lam = symmetric_spectrum(op, 1)[0]
-    assert len(calls) == 1
-    assert abs(lam - 0.36775264446550615) <= 1e-12 * lam
-
-    # a shift above the lowest eigenvalue (0) of -Laplace on the round
-    # sphere makes the first solve land below sigma and retry once
-    calls.clear()
-    geom = unit_sphere_geom(16)
-    op = assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
-                               c_field=np.zeros(geom.grid.shape)))
-    monkeypatch.setattr(spectra, "_shift", lambda opmat: -0.9)
-    vals = symmetric_spectrum(op, 1)
-    assert len(calls) == 2
-    assert abs(vals[0]) < 1e-10
-
-
 def test_symmetric_spectrum_agrees_with_principal_eigenvalue():
-    # two solvers on one factorization: Lanczos (eigsh) and Arnoldi with
-    # the backward-error gate agree on the lowest eigenvalue of Ls and of
-    # the G-quantity potential of the H-stability topology audit
+    # Lanczos (eigsh) and Arnoldi with the backward-error gate agree on the
+    # lowest eigenvalue of Ls and of the G-quantity potential of the
+    # H-stability topology audit
     from motslab import audits
 
     near = pg_sphere_geom(32, 1.0, (0.4, 0.0, 0.0))
@@ -679,4 +639,4 @@ def test_symmetric_spectrum_agrees_with_principal_eigenvalue():
                  OperatorSpec(spectra.CUSTOM_SYMMETRIC, far, c_field=pot)):
         op = assemble(spec)
         lam = principal_eigenvalue(op).lambda1
-        assert abs(symmetric_spectrum(op, 1)[0] - lam) <= 1e-12 * abs(lam)
+        assert abs(lowest_eigenvalues(op, 1)[0] - lam) <= 1e-12 * abs(lam)

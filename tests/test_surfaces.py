@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synthetic_fields import with_overrides
 from motslab import audits, grids, initialdata as idata, surfaces
 from motslab.errors import TopologyError, UnsupportedOperationError
 from motslab.grids import integrate, make_grid
@@ -304,13 +305,13 @@ def test_variation_oracle_minus_lminus_guards():
 
 def test_overrides_recompute_q():
     geom = compute_geometry(sphere_chart(grid64(), 1.0), idata.minkowski_flat())
-    synth = geom.with_overrides(mu=0.25, J_N=0.0)
+    synth = with_overrides(geom, mu=0.25, J_N=0.0)
     assert np.max(np.abs(synth.Q - (geom.K - 0.25 - 0.5 * geom.chi_p2))) < 1e-12
     U, V = geom.grid.meshgrid()
     h = 0.3 * np.cos(U)
     gu, gv = grids.gradient(geom.metric, h)
     w_cov = np.stack([grids.d_u(geom.grid, h, 1.0), grids.d_v(geom.grid, h)], -1)
-    synth = geom.with_overrides(W_cov=w_cov)
+    synth = with_overrides(geom, W_cov=w_cov)
     lap = grids.laplace_beltrami(geom.metric, h)
     assert np.max(np.abs(synth.divW - lap)) < 1e-10
 

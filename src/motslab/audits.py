@@ -390,10 +390,9 @@ def audit_I_sigma(geom, theta_tol=spectra.THETA_TOL,
     phi = res_L.eigenfunction
     logphi = np.log(np.maximum(phi, 1e-300))
     dlog = np.stack([grids.d_u(geom.grid, logphi, 1.0),
-                     grids.d_v(geom.grid, logphi)], -1)
-    wdiff = geom.W_cov - dlog
+                     grids.d_v(geom.grid, logphi)])
     w_gap = float(np.max(np.sqrt(geom.metric.norm2_covector(
-        wdiff[..., 0], wdiff[..., 1]))))
+        *(geom.W_cov - dlog)))))
     diagnostics = [
         ("max|chi_+|", float(np.max(np.sqrt(geom.chi_p2)))),
         ("max|Q|", float(np.max(np.abs(geom.Q)))),
@@ -523,8 +522,8 @@ def collar_infimum(data, geom, zeta, which="dec"):
     zeta = float(zeta)
     svals = np.linspace(-zeta, zeta, 11)
     if which == "dec":
-        collar = (np.moveaxis(geom.F + s * geom.N, -1, 0) for s in svals)
-        return min(idata.dec_margin(data, x) for x in collar)
+        return min(idata.dec_margin(data, geom.F + s * geom.N)
+                   for s in svals)
     if which == "boundary":
         if geom.boundary is None:
             raise TopologyError("boundary collar requires a disk surface")
@@ -532,9 +531,9 @@ def collar_infimum(data, geom, zeta, which="dec"):
         support = geom.chart.support
         best = np.inf
         for s in svals:
-            jet = idata.evaluate(data, (b.points + s * b.normal).T)
+            jet = idata.evaluate(data, b.points + s * b.normal)
             h = support.mean_curvature(jet)
-            wnu = idata.bilinear(jet.k, b.nu.T, b.normal.T)
+            wnu = idata.bilinear(jet.k, b.nu, b.normal)
             best = min(best, float(np.min(h - wnu)))
         return best
     raise ValueError(f"unknown collar quantity {which!r}")

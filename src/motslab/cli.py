@@ -295,8 +295,7 @@ def run_eigen(cfg):
                             if q_source is None else
                             "Robin problems require disk topology")
     spec = spectra.OperatorSpec(_OPERATORS[cfg.operator], geom,
-                                q_source=q_source, gamma=gamma,
-                                qbar_variant=cfg.qbar)
+                                q_source=q_source, gamma=gamma)
     # the one command that reports the adjoint eigenvalue: transposed
     # solves on the forward factor, none for a symmetric pencil
     opmat = spectra.assemble(spec)
@@ -481,7 +480,6 @@ def build_parser():
     parser.add_argument("--grid", default="64x128")
     parser.add_argument("--operator", default="Ls", choices=list(_OPERATORS))
     parser.add_argument("--bc", default="closed")
-    parser.add_argument("--qbar", default="proof", choices=["proof", "lemma"])
     parser.add_argument("--theorem", default="cy-estimate",
                         choices=["cy-estimate", "hawking-bound",
                                  "cohn-vossen", "growth-bounds", "g-quantity",

@@ -76,7 +76,6 @@ class OperatorSpec:
     geometry: surfaces.SurfaceGeometry
     q_source: str = Q_FREE
     gamma: float | None = None
-    qbar_variant: str = "proof"
     c_field: np.ndarray | None = None     # CustomSymmetric only
 
 
@@ -235,7 +234,7 @@ def _weak_form(metric, c, drift_cov, robin_q):
     if robin_q is not None:
         add(K, 0, 0, last, -robin_q * metric.boundary_line_element())
     if drift_cov is not None:
-        wu, wv = metric.raise_covector(drift_cov[..., 0], drift_cov[..., 1])
+        wu, wv = metric.raise_covector(*drift_cov)
         fu, fv = mass * wu / du, mass * wv / dv
         add(K, 0, 1, every, fv)
         add(K, 0, -1, every, -fv)
@@ -301,7 +300,7 @@ _COEFFICIENTS = {
     HSTAB_NORMAL: lambda spec: surfaces.hstab_normal_coefficients(
         spec.geometry),
     HSTAB_MINUS_LMINUS: lambda spec: surfaces.hstab_minus_lminus_coefficients(
-        spec.geometry, spec.qbar_variant),
+        spec.geometry),
     CUSTOM_SYMMETRIC: _custom_coefficients,
 }
 

@@ -9,6 +9,12 @@ fundamental form, null expansions and null second fundamental forms, the
 connection one-form W, the potential Q of the stability operator, and the
 boundary data of capillary/free-boundary configurations.
 
+Every surface field has one layout, component-major with the nodes last,
+as in ``initialdata``: chart arrays and vectors are ``F[i, u, v]``,
+covectors ``W_cov[a, u, v]``, 2-tensors ``A[a, b, u, v]``, and boundary
+data ``nu[i, v]``. The induced metric and its inverse are held once, in
+the ``Metric2Field``.
+
 Each stability operator -Laplace + 2 <drift, grad .> + c has its one
 definition of (c, drift) here: ``spectra.assemble`` factors it and the
 first-variation formulas of theta_+ and |H|^2 apply it in strong form. A
@@ -16,7 +22,7 @@ finite-difference variation oracle checks those formulas against
 recomputed geometry of perturbed surfaces.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import grids
@@ -163,7 +169,8 @@ class BallSupport(LevelSetSupport):
 
 @dataclass
 class SurfaceChart:
-    """Nodal embedding of a parametrized surface with derivative arrays.
+    """Nodal embedding of a parametrized surface with derivative arrays,
+    each of shape (3, n_u, n_v).
 
     ``representation`` is "radial" for radial graphs (center + rho * mhat)
     and "explicit" for charts built from analytic maps or nodal arrays.
@@ -182,9 +189,6 @@ class SurfaceChart:
     representation: str = "explicit"
     normal_ref: tuple = ("vector", np.array([0.0, 0.0, 1.0]))
     support: LevelSetSupport | None = None
-    center: np.ndarray | None = None
-    rho: np.ndarray | None = None
-    name: str = "surface"
     flip_normal: bool = False
 
 
@@ -192,71 +196,56 @@ def _direction_arrays(grid):
     U, V = grid.meshgrid()
     su, cu = np.sin(U), np.cos(U)
     sv, cv = np.sin(V), np.cos(V)
-    mh = np.stack([su * cv, su * sv, cu], axis=-1)
-    mh_u = np.stack([cu * cv, cu * sv, -su], axis=-1)
-    mh_v = np.stack([-su * sv, su * cv, np.zeros_like(U)], axis=-1)
+    mh = np.stack([su * cv, su * sv, cu])
+    mh_u = np.stack([cu * cv, cu * sv, -su])
+    mh_v = np.stack([-su * sv, su * cv, np.zeros_like(U)])
     mh_uu = -mh
-    mh_uv = np.stack([-cu * sv, cu * cv, np.zeros_like(U)], axis=-1)
-    mh_vv = np.stack([-su * cv, -su * sv, np.zeros_like(U)], axis=-1)
+    mh_uv = np.stack([-cu * sv, cu * cv, np.zeros_like(U)])
+    mh_vv = np.stack([-su * cv, -su * sv, np.zeros_like(U)])
     return mh, mh_u, mh_v, mh_uu, mh_uv, mh_vv
 
 
-def radial_graph_chart(grid, rho, center=(0.0, 0.0, 0.0), name="radial-graph",
-                       jet=None):
+def radial_graph_chart(grid, rho, center=(0.0, 0.0, 0.0)):
     """Radial graph F = center + rho(u, v) * mhat(u, v) over a sphere grid.
 
-    The direction field is differentiated analytically and the radius field
+    ``rho`` is a nodal array, a constant, or a callable (U, V) -> rho. The
+    direction field is differentiated analytically and the radius field
     with the grid stencils, so constant-radius spheres carry exact
-    derivatives. An analytic ``jet`` callable (U, V) -> (rho, rho_u, rho_v,
-    rho_uu, rho_uv, rho_vv) replaces the stencil derivatives when the
-    closed form is available. A non-finite radius raises
-    NonFiniteInputError, a radius <= 0 InvalidInputError.
+    derivatives. A non-finite radius raises NonFiniteInputError, a radius
+    <= 0 InvalidInputError.
     """
     if grid.topology != grids.SPHERE:
         raise TopologyError("radial graphs require sphere topology")
     center = np.asarray(center, dtype=float)
-    U, V = grid.meshgrid()
-    if jet is not None:
-        rho, ru, rv, ruu, ruv, rvv = (np.broadcast_to(np.asarray(a, float),
-                                                      grid.shape)
-                                      for a in jet(U, V))
+    if callable(rho):
+        rho = np.asarray(rho(*grid.meshgrid()), dtype=float)
     else:
-        if callable(rho):
-            rho = np.asarray(rho(U, V), dtype=float)
-        else:
-            rho = np.broadcast_to(np.asarray(rho, dtype=float),
-                                  grid.shape).copy()
-        ru = d_u(grid, rho, 1.0)
-        rv = d_v(grid, rho)
-        ruu = d_uu(grid, rho, 1.0)
-        ruv = d_v(grid, d_u(grid, rho, 1.0))
-        rvv = d_vv(grid, rho)
+        rho = np.broadcast_to(np.asarray(rho, dtype=float), grid.shape).copy()
+    ru = d_u(grid, rho, 1.0)
+    rv = d_v(grid, rho)
+    ruu = d_uu(grid, rho, 1.0)
+    ruv = d_v(grid, d_u(grid, rho, 1.0))
+    rvv = d_vv(grid, rho)
     grids._check_finite("radial_graph_chart", rho)
     if np.min(rho) <= 0.0:
         i, j = np.unravel_index(np.argmin(rho), grid.shape)
         raise InvalidInputError(
             f"radial graph radius {rho[i, j]:.6g} <= 0 at node ({i}, {j})")
     mh, mh_u, mh_v, mh_uu, mh_uv, mh_vv = _direction_arrays(grid)
-
-    def mul(a, B):
-        return a[..., None] * B
-
-    F = center + mul(rho, mh)
-    Fu = mul(ru, mh) + mul(rho, mh_u)
-    Fv = mul(rv, mh) + mul(rho, mh_v)
-    Fuu = mul(ruu, mh) + 2.0 * mul(ru, mh_u) + mul(rho, mh_uu)
-    Fuv = mul(ruv, mh) + mul(ru, mh_v) + mul(rv, mh_u) + mul(rho, mh_uv)
-    Fvv = mul(rvv, mh) + 2.0 * mul(rv, mh_v) + mul(rho, mh_vv)
+    F = np.reshape(center, (3, 1, 1)) + rho * mh
+    Fu = ru * mh + rho * mh_u
+    Fv = rv * mh + rho * mh_v
+    Fuu = ruu * mh + 2.0 * (ru * mh_u) + rho * mh_uu
+    Fuv = ruv * mh + ru * mh_v + rv * mh_u + rho * mh_uv
+    Fvv = rvv * mh + 2.0 * (rv * mh_v) + rho * mh_vv
     return SurfaceChart(grid, F, Fu, Fv, Fuu, Fuv, Fvv,
                         representation="radial",
-                        normal_ref=("center", center),
-                        center=center, rho=rho, name=name)
+                        normal_ref=("center", center))
 
 
 def sphere_chart(grid, radius, center=(0.0, 0.0, 0.0)):
     """Coordinate sphere of the given radius as a radial graph."""
-    return radial_graph_chart(grid, float(radius), center,
-                              name=f"sphere(r={radius})")
+    return radial_graph_chart(grid, float(radius), center)
 
 
 def ellipsoid_chart(grid, a=1.0, b=1.0, c=1.5):
@@ -271,7 +260,7 @@ def ellipsoid_chart(grid, a=1.0, b=1.0, c=1.5):
     zero = np.zeros_like(U)
 
     def vec(x, y, z):
-        return np.stack([a * x, b * y, c * z], axis=-1)
+        return np.stack([a * x, b * y, c * z])
 
     F = vec(su * cv, su * sv, cu)
     Fu = vec(cu * cv, cu * sv, -su)
@@ -281,8 +270,7 @@ def ellipsoid_chart(grid, a=1.0, b=1.0, c=1.5):
     Fvv = vec(-su * cv, -su * sv, zero)
     return SurfaceChart(grid, F, Fu, Fv, Fuu, Fuv, Fvv,
                         representation="explicit",
-                        normal_ref=("center", np.zeros(3)),
-                        name=f"ellipsoid({a},{b},{c})")
+                        normal_ref=("center", np.zeros(3)))
 
 
 def flat_disk_chart(grid, radius=1.0, z0=0.0, support=None):
@@ -298,18 +286,18 @@ def flat_disk_chart(grid, radius=1.0, z0=0.0, support=None):
     cv, sv = np.cos(V), np.sin(V)
     zero = np.zeros_like(U)
     zcol = np.full_like(U, z0)
-    F = np.stack([R * U * cv, R * U * sv, zcol], axis=-1)
-    Fu = np.stack([R * cv, R * sv, zero], axis=-1)
-    Fv = np.stack([-R * U * sv, R * U * cv, zero], axis=-1)
+    F = np.stack([R * U * cv, R * U * sv, zcol])
+    Fu = np.stack([R * cv, R * sv, zero])
+    Fv = np.stack([-R * U * sv, R * U * cv, zero])
     Fuu = np.zeros_like(F)
-    Fuv = np.stack([-R * sv, R * cv, zero], axis=-1)
-    Fvv = np.stack([-R * U * cv, -R * U * sv, zero], axis=-1)
+    Fuv = np.stack([-R * sv, R * cv, zero])
+    Fvv = np.stack([-R * U * cv, -R * U * sv, zero])
     if support is None:
         support = CylinderSupport(R)
     return SurfaceChart(grid, F, Fu, Fv, Fuu, Fuv, Fvv,
                         representation="explicit",
                         normal_ref=("vector", np.array([0.0, 0.0, 1.0])),
-                        support=support, name=f"disk(r={R})")
+                        support=support)
 
 
 def cap_chart(grid, radius=1.0, support=None):
@@ -324,25 +312,25 @@ def cap_chart(grid, radius=1.0, support=None):
     sa, ca = np.sin(al), np.cos(al)
     cv, sv = np.cos(V), np.sin(V)
     zero = np.zeros_like(U)
-    F = R * np.stack([sa * cv, sa * sv, ca], axis=-1)
-    Fu = R * c * np.stack([ca * cv, ca * sv, -sa], axis=-1)
-    Fv = R * np.stack([-sa * sv, sa * cv, zero], axis=-1)
+    F = R * np.stack([sa * cv, sa * sv, ca])
+    Fu = R * c * np.stack([ca * cv, ca * sv, -sa])
+    Fv = R * np.stack([-sa * sv, sa * cv, zero])
     Fuu = -(c**2) * F
-    Fuv = R * c * np.stack([-ca * sv, ca * cv, zero], axis=-1)
-    Fvv = R * np.stack([-sa * cv, -sa * sv, zero], axis=-1)
+    Fuv = R * c * np.stack([-ca * sv, ca * cv, zero])
+    Fvv = R * np.stack([-sa * cv, -sa * sv, zero])
     if support is None:
         support = PlaneSupport(0.0)
     return SurfaceChart(grid, F, Fu, Fv, Fuu, Fuv, Fvv,
                         representation="explicit",
                         normal_ref=("center", np.zeros(3)),
-                        support=support, name=f"cap(r={R})")
+                        support=support)
 
 
 def nodal_chart(base, F, Fu, Fv, Fuu, Fuv, Fvv):
     """Explicit chart carrying perturbed nodal arrays, inheriting grid,
     orientation, and support from a base chart."""
     return replace(base, F=F, Fu=Fu, Fv=Fv, Fuu=Fuu, Fuv=Fuv, Fvv=Fvv,
-                   representation="explicit", rho=None)
+                   representation="explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +339,17 @@ def nodal_chart(base, F, Fu, Fv, Fuu, Fuv, Fvv):
 
 @dataclass
 class BoundaryData:
-    """Per-boundary-node geometric data of a capillary configuration."""
+    """Per-boundary-node geometric data of a capillary configuration,
+    component-major over the n_v boundary nodes: vectors (3, n_v)."""
 
     points: np.ndarray
-    nu_chart: np.ndarray        # outward conormal, chart components (2,)
+    nu_chart: np.ndarray        # outward conormal, chart components (2, n_v)
     nu: np.ndarray              # outward conormal in M
     normal: np.ndarray          # surface normal N at the boundary
     nbar: np.ndarray            # outward unit normal of the support
     cos_gamma: np.ndarray
     gamma: np.ndarray
-    shape_op: np.ndarray        # nabla Nbar, covariant (3, 3)
+    shape_op: np.ndarray        # nabla Nbar, covariant (3, 3, n_v)
     Pi_NN: np.ndarray
     A_nunu: np.ndarray
     W_nu: np.ndarray
@@ -372,30 +361,27 @@ class BoundaryData:
         gamma: nubar = -sin(gamma) N + cos(gamma) nu."""
         gamma = np.broadcast_to(np.asarray(gamma, dtype=float),
                                 self.gamma.shape)
-        nubar = -np.sin(gamma) * self.normal.T + np.cos(gamma) * self.nu.T
-        return idata.bilinear(np.moveaxis(self.shape_op, 0, -1), nubar, nubar)
+        nubar = -np.sin(gamma) * self.normal + np.cos(gamma) * self.nu
+        return idata.bilinear(self.shape_op, nubar, nubar)
 
 
 @dataclass
 class SurfaceGeometry:
-    """All per-node geometric fields of a surface in an initial data set."""
+    """All per-node geometric fields of a surface in an initial data set,
+    component-major: vectors (3, n_u, n_v), covectors (2, n_u, n_v),
+    2-tensors (2, 2, n_u, n_v), scalars (n_u, n_v). The induced metric
+    and its inverse are ``metric``'s components."""
 
     chart: SurfaceChart
-    data_name: str
     metric: Metric2Field
     F: np.ndarray
-    e_u: np.ndarray
-    e_v: np.ndarray
     N: np.ndarray
-    gS: np.ndarray              # induced metric, stacked (..., 2, 2)
-    gS_inv: np.ndarray
-    A: np.ndarray               # second fundamental form (..., 2, 2)
+    A: np.ndarray               # second fundamental form
     H: np.ndarray
     k_S: np.ndarray
     P: np.ndarray
-    W_cov: np.ndarray           # connection one-form, covariant (..., 2)
+    W_cov: np.ndarray           # connection one-form, covariant
     chi_p: np.ndarray
-    chi_m: np.ndarray
     chihat_m: np.ndarray
     theta_p: np.ndarray
     theta_m: np.ndarray
@@ -438,32 +424,40 @@ class SurfaceGeometry:
         return float(np.sum(self.boundary.length_element))
 
 
-def _sym2_dot(ginv2, S, T):
-    """<S, T> = g^{ac} g^{bd} S_ab T_cd for stacked 2x2 symmetric fields, by
-    components: a batched 2x2 matmul takes four times as long."""
-    X, Y = ([[ginv2[..., a, 0] * M[..., 0, b]
-              + ginv2[..., a, 1] * M[..., 1, b] for b in (0, 1)]
+def _trace(metric, S):
+    """g^{ab} S_ab of a symmetric 2-tensor S[a, b, ...]: the terms added
+    onto +0.0 in the order uu, uv, vu, vv, the start and order of
+    ``np.sum`` over a (2, 2) block, so a trace of -0.0 terms is +0.0."""
+    return ((((0.0 + metric.iuu * S[0, 0]) + metric.iuv * S[0, 1])
+             + metric.iuv * S[1, 0]) + metric.ivv * S[1, 1])
+
+
+def _sym2_dot(metric, S, T):
+    """<S, T> = g^{ac} g^{bd} S_ab T_cd for symmetric 2-tensors S[a, b, ...],
+    by components: a batched 2x2 matmul takes four times as long."""
+    ginv = ((metric.iuu, metric.iuv), (metric.iuv, metric.ivv))
+    X, Y = ([[ginv[a][0] * M[0, b] + ginv[a][1] * M[1, b] for b in (0, 1)]
              for a in (0, 1)] for M in (S, T))
     return (X[0][0] * Y[0][0] + X[0][1] * Y[1][0] + X[1][0] * Y[0][1]
             + X[1][1] * Y[1][1])
 
 
 def _sym2(a00, a01, a11):
-    """Stack three component fields into symmetric (..., 2, 2) blocks."""
-    return np.stack([np.stack([a00, a01], -1), np.stack([a01, a11], -1)], -2)
+    """Stack three component fields into a symmetric 2-tensor S[a, b, ...]."""
+    return np.stack([np.stack([a00, a01]), np.stack([a01, a11])])
 
 
 def compute_geometry(surface, data):
     """Assemble the full SurfaceGeometry of a chart in an initial data set.
 
-    The ambient contractions run component-major (``x[i, u, v]``, as in
-    ``initialdata``); the fields of the result keep their node-first shapes.
+    One ambient jet at the chart's nodes feeds every field, the boundary
+    data included. The chart, the jet and the result are all
+    component-major (``x[i, u, v]``, as in ``initialdata``), so every
+    contraction runs over the contiguous node axis and no field is
+    transposed on the way in or out.
     """
     grid = surface.grid
-    x, e_u, e_v, F_uu, F_uv, F_vv = (
-        np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in
-        (surface.F, surface.Fu, surface.Fv, surface.Fuu, surface.Fuv,
-         surface.Fvv))
+    x, e_u, e_v = surface.F, surface.Fu, surface.Fv
     jet = idata.evaluate(data, x)
     dot, mat_vec = idata.dot, idata.mat_vec
     g_u, g_v = mat_vec(jet.g, e_u), mat_vec(jet.g, e_v)
@@ -472,10 +466,6 @@ def compute_geometry(surface, data):
         metric = Metric2Field(grid, guu, guv, gvv)
     except DegenerateMetricError as err:
         raise ImmersionError(f"chart fails to immerse at node {err.node}") from err
-
-    gS = _sym2(guu, guv, gvv)
-    det = metric.det
-    gS_inv = _sym2(gvv / det, -guv / det, guu / det)
 
     # unit normal: flat cross product gives a covector annihilating both
     # tangents; raise with g and normalize.
@@ -496,29 +486,29 @@ def compute_geometry(surface, data):
     # A_ab = -g(N, F_ab + Gamma(e_a, e_b))
     gam_N = np.einsum("i...,ijk...->jk...", N_cov, jet.gam)
     gam_Nu, gam_Nv = mat_vec(gam_N, e_u), mat_vec(gam_N, e_v)
-    A = _sym2(-(dot(N_cov, F_uu) + dot(e_u, gam_Nu)),
-              -(dot(N_cov, F_uv) + dot(e_u, gam_Nv)),
-              -(dot(N_cov, F_vv) + dot(e_v, gam_Nv)))
-    H = np.sum(gS_inv * A, axis=(-2, -1))
+    A = _sym2(-(dot(N_cov, surface.Fuu) + dot(e_u, gam_Nu)),
+              -(dot(N_cov, surface.Fuv) + dot(e_u, gam_Nv)),
+              -(dot(N_cov, surface.Fvv) + dot(e_v, gam_Nv)))
+    H = _trace(metric, A)
 
     k_u, k_v = mat_vec(jet.k, e_u), mat_vec(jet.k, e_v)
     k_S = _sym2(dot(e_u, k_u), dot(e_u, k_v), dot(e_v, k_v))
-    P = np.sum(gS_inv * k_S, axis=(-2, -1))
+    P = _trace(metric, k_S)
     k_N = mat_vec(jet.k, N)
-    W_cov = np.stack([dot(e_u, k_N), dot(e_v, k_N)], -1)
+    W_cov = np.stack([dot(e_u, k_N), dot(e_v, k_N)])
 
     chi_p = k_S + A
     chi_m = k_S - A
     theta_p = P + H
     theta_m = P - H
-    chihat_m = chi_m - 0.5 * theta_m[..., None, None] * gS
+    chihat_m = chi_m - 0.5 * theta_m * _sym2(guu, guv, gvv)
 
     J_N = dot(jet.J, N)
 
-    chi_p2 = _sym2_dot(gS_inv, chi_p, chi_p)
-    chi_m2 = _sym2_dot(gS_inv, chi_m, chi_m)
-    chihat_m2 = _sym2_dot(gS_inv, chihat_m, chihat_m)
-    absA2 = _sym2_dot(gS_inv, A, A)
+    chi_p2 = _sym2_dot(metric, chi_p, chi_p)
+    chi_m2 = _sym2_dot(metric, chi_m, chi_m)
+    chihat_m2 = _sym2_dot(metric, chihat_m, chihat_m)
+    absA2 = _sym2_dot(metric, A, A)
 
     RicNN = idata.bilinear(jet.ric, N, N)
 
@@ -530,7 +520,7 @@ def compute_geometry(surface, data):
     K = 0.5 * R_S
     Q = 0.5 * R_S - jet.mu - J_N - 0.5 * chi_p2
     kNN = dot(k_N, N)
-    A_dot_kS = _sym2_dot(gS_inv, A, k_S)
+    A_dot_kS = _sym2_dot(metric, A, k_S)
 
     # N(tr k) - (nabla_N k)(N, N)
     nab_trk = dot(N, jet.dtrk)
@@ -540,9 +530,8 @@ def compute_geometry(surface, data):
     nab_kNN = idata.bilinear(dk_N, N, N) - 2.0 * dot(gam_NN, k_N)
     nabla_N_P = nab_trk - nab_kNN
 
-    wu, wv = metric.raise_covector(W_cov[..., 0], W_cov[..., 1])
-    divW = divergence(metric, (wu, wv))
-    W2 = metric.norm2_covector(W_cov[..., 0], W_cov[..., 1])
+    divW = divergence(metric, metric.raise_covector(*W_cov))
+    W2 = metric.norm2_covector(*W_cov)
 
     area = integrate(metric, np.ones(grid.shape))
 
@@ -556,14 +545,11 @@ def compute_geometry(surface, data):
 
     boundary = None
     if grid.topology == grids.DISK:
-        boundary = _boundary_data(surface, data, metric, gS_inv, e_u, e_v,
-                                  N, W_cov, A)
+        boundary = _boundary_data(surface, jet, metric, N, W_cov, A)
 
     return SurfaceGeometry(
-        chart=surface, data_name=data.name, metric=metric, F=surface.F,
-        e_u=surface.Fu, e_v=surface.Fv, N=np.moveaxis(N, 0, -1), gS=gS,
-        gS_inv=gS_inv, A=A, H=H, k_S=k_S, P=P,
-        W_cov=W_cov, chi_p=chi_p, chi_m=chi_m, chihat_m=chihat_m,
+        chart=surface, metric=metric, F=surface.F, N=N, A=A, H=H, k_S=k_S,
+        P=P, W_cov=W_cov, chi_p=chi_p, chihat_m=chihat_m,
         theta_p=theta_p, theta_m=theta_m, K=K, R_S=R_S, mu=jet.mu, J_N=J_N,
         j_norm=jet.j_norm, Q=Q, chi_p2=chi_p2, chi_m2=chi_m2,
         chihat_m2=chihat_m2, absA2=absA2, absk2=jet.absk2, trk=jet.trk,
@@ -573,38 +559,38 @@ def compute_geometry(surface, data):
         boundary=boundary)
 
 
-def _boundary_data(surface, data, metric, gS_inv, e_u, e_v, N, W_cov, A):
-    """Boundary data from the component-major tangents and normal."""
+def _boundary_data(surface, jet, metric, N, W_cov, A):
+    """Boundary data on the last ring, from the surface's ambient jet: the
+    ring's jet is every jet field at that ring, ``[..., -1, :]``."""
     if surface.support is None:
         raise UnsupportedOperationError(
             "disk chart requires a supporting boundary hypersurface")
-    xb = surface.F[-1]
-    level = surface.support.level(xb.T)
+    xb = surface.F[:, -1].copy()
+    level = surface.support.level(xb)
     scale = max(1.0, float(np.max(np.abs(xb))))
     if np.max(np.abs(level)) > 1e-8 * scale:
         raise ImmersionError(
             f"boundary nodes off the support level set by "
             f"{np.max(np.abs(level)):.2e}")
 
-    iuu = gS_inv[-1, :, 0, 0]
-    iuv = gS_inv[-1, :, 0, 1]
-    nu_chart = np.stack([np.sqrt(iuu), iuv / np.sqrt(iuu)], -1)
-    nu = nu_chart[:, 0] * e_u[:, -1] + nu_chart[:, 1] * e_v[:, -1]
-    Nb = N[:, -1]
+    iuu, iuv = metric.iuu[-1], metric.iuv[-1]
+    nu_chart = np.stack([np.sqrt(iuu), iuv / np.sqrt(iuu)])
+    nu = nu_chart[0] * surface.Fu[:, -1] + nu_chart[1] * surface.Fv[:, -1]
+    Nb = N[:, -1].copy()
 
-    jet = idata.evaluate(data, np.ascontiguousarray(xb.T))
-    _, nbar = surface.support.unit_normal(jet)
-    cosg = idata.bilinear(jet.g, Nb, nbar)
+    ring = idata.AmbientJet(**{f.name: getattr(jet, f.name)[..., -1, :]
+                               for f in fields(jet)})
+    _, nbar = surface.support.unit_normal(ring)
+    cosg = idata.bilinear(ring.g, Nb, nbar)
     gamma = np.arccos(np.clip(cosg, -1.0, 1.0))
-    shape_op = surface.support.shape_operator(jet)
+    shape_op = surface.support.shape_operator(ring)
     Pi_NN = idata.bilinear(shape_op, Nb, Nb)
-    A_nunu = idata.bilinear(np.moveaxis(A[-1], 0, -1), nu_chart.T, nu_chart.T)
-    W_nu = (W_cov[-1, :, 0] * nu_chart[..., 0]
-            + W_cov[-1, :, 1] * nu_chart[..., 1])
-    H_dM = np.einsum("ij...,ij...->...", jet.ginv, shape_op)
-    return BoundaryData(points=xb, nu_chart=nu_chart, nu=nu.T, normal=Nb.T,
-                        nbar=nbar.T, cos_gamma=cosg, gamma=gamma,
-                        shape_op=np.moveaxis(shape_op, -1, 0), Pi_NN=Pi_NN,
+    A_nunu = idata.bilinear(A[:, :, -1], nu_chart, nu_chart)
+    W_nu = W_cov[0, -1] * nu_chart[0] + W_cov[1, -1] * nu_chart[1]
+    H_dM = np.einsum("ij...,ij...->...", ring.ginv, shape_op)
+    return BoundaryData(points=xb, nu_chart=nu_chart, nu=nu, normal=Nb,
+                        nbar=nbar, cos_gamma=cosg, gamma=gamma,
+                        shape_op=shape_op, Pi_NN=Pi_NN,
                         A_nunu=A_nunu, W_nu=W_nu, H_dM=H_dM,
                         length_element=metric.boundary_line_element())
 
@@ -646,17 +632,17 @@ def hstab_normal_coefficients(geom):
                 - geom.absA2 - geom.H**2)
          - ratio * (-geom.J_N + geom.divW + geom.H * geom.kNN
                     - geom.A_dot_kS))
-    return c, -ratio[..., None] * geom.W_cov
+    return c, -ratio * geom.W_cov
 
 
-def qbar_potential(geom, variant="proof"):
-    """The potential of the -l_- variation of |H|^2 (requires theta_- != 0).
+def qbar_potential(geom):
+    """The potential Qbar of the -l_- variation of |H|^2 (requires
+    theta_- != 0): 1/2 R_S - 1/2 G(l+, l-) + 3/4 theta- theta+
+    + (theta+ / 2 theta-) (|chihat_-|^2 + G(l-, l-)).
 
-    The "lemma" and "proof" variants carry the coefficient pairs
-    (1/2 theta- theta+, |chi_-|^2) and (3/4 theta- theta+, |chihat_-|^2).
-    In two dimensions |chi_-|^2 = |chihat_-|^2 + theta_-^2 / 2, which makes
-    the two expressions agree identically; both are kept so the oracle can
-    report the comparison explicitly.
+    The lemma states it with (1/2 theta- theta+, |chi_-|^2) in place of
+    (3/4 theta- theta+, |chihat_-|^2); in two dimensions
+    |chi_-|^2 = |chihat_-|^2 + theta_-^2 / 2, so the two forms agree.
     """
     if not geom.has_extension:
         raise UnsupportedOperationError(
@@ -665,18 +651,13 @@ def qbar_potential(geom, variant="proof"):
         raise UnsupportedOperationError("theta_- vanishes somewhere")
     base = 0.5 * geom.R_S - 0.5 * geom.G_lplm
     ratio = geom.theta_p / (2.0 * geom.theta_m)
-    if variant == "proof":
-        return (base + ratio * (geom.chihat_m2 + geom.G_lmlm)
-                + 0.75 * geom.theta_m * geom.theta_p)
-    if variant == "lemma":
-        return (base + ratio * (geom.chi_m2 + geom.G_lmlm)
-                + 0.5 * geom.theta_m * geom.theta_p)
-    raise ValueError(f"unknown qbar variant {variant!r}")
+    return (base + ratio * (geom.chihat_m2 + geom.G_lmlm)
+            + 0.75 * geom.theta_m * geom.theta_p)
 
 
-def hstab_minus_lminus_coefficients(geom, variant="proof"):
+def hstab_minus_lminus_coefficients(geom):
     """c = div W - |W|^2 + Qbar and drift W: the -l_- H-stability operator."""
-    return geom.divW - geom.W2 + qbar_potential(geom, variant), geom.W_cov
+    return geom.divW - geom.W2 + qbar_potential(geom), geom.W_cov
 
 
 def _strong_form(geom, coefficients, phi):
@@ -685,7 +666,7 @@ def _strong_form(geom, coefficients, phi):
     c, drift = coefficients
     gu, gv = grids.gradient(geom.metric, phi, order=4)
     return (-divergence(geom.metric, (gu, gv), order=4)
-            + 2.0 * (drift[..., 0] * gu + drift[..., 1] * gv) + c * phi)
+            + 2.0 * (drift[0] * gu + drift[1] * gv) + c * phi)
 
 
 def delta_theta_plus(geom, phi):
@@ -701,11 +682,11 @@ def delta_H2_normal(geom, phi):
                                        phi)
 
 
-def delta_H2_minus_lminus(geom, phi, variant="proof"):
+def delta_H2_minus_lminus(geom, phi):
     """First variation of |H|^2 under X = -phi l_-: -2 theta_- times the
     HStabMinusLminus operator applied to phi."""
     return -2.0 * geom.theta_m * _strong_form(
-        geom, hstab_minus_lminus_coefficients(geom, variant), phi)
+        geom, hstab_minus_lminus_coefficients(geom), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -713,16 +694,16 @@ def delta_H2_minus_lminus(geom, phi, variant="proof"):
 
 
 def _vector_field_jet(grid, X):
-    """First and second grid derivatives of a Cartesian vector field,
-    with fourth-order stencils (displacement jets feed the oracle)."""
+    """First and second grid derivatives of a Cartesian vector field
+    X[i, u, v], with fourth-order stencils (displacement jets feed the
+    oracle)."""
     from .grids import d_u4, d_uu4, d_v4, d_vv4
 
-    comps = [X[..., c] for c in range(3)]
-    du1 = np.stack([d_u4(grid, c, 1.0) for c in comps], -1)
-    dv1 = np.stack([d_v4(grid, c) for c in comps], -1)
-    duu1 = np.stack([d_uu4(grid, c, 1.0) for c in comps], -1)
-    duv1 = np.stack([d_v4(grid, d_u4(grid, c, 1.0)) for c in comps], -1)
-    dvv1 = np.stack([d_vv4(grid, c) for c in comps], -1)
+    du1 = np.stack([d_u4(grid, c, 1.0) for c in X])
+    dv1 = np.stack([d_v4(grid, c) for c in X])
+    duu1 = np.stack([d_uu4(grid, c, 1.0) for c in X])
+    duv1 = np.stack([d_v4(grid, d_u4(grid, c, 1.0)) for c in X])
+    dvv1 = np.stack([d_vv4(grid, c) for c in X])
     return du1, dv1, duu1, duv1, dvv1
 
 
@@ -730,7 +711,7 @@ def displaced_chart(geom, phi, eps):
     """Chart of the surface displaced by eps * phi * N, with derivative
     arrays built from grid stencils of the displacement field."""
     chart = geom.chart
-    X = phi[..., None] * geom.N
+    X = phi * geom.N
     du1, dv1, duu1, duv1, dvv1 = _vector_field_jet(chart.grid, X)
     return nodal_chart(chart,
                        F=chart.F + eps * X,
@@ -765,8 +746,7 @@ class OracleResult:
         return max(devs)
 
 
-def variation_oracle(surface, data, phi, direction, eps_list,
-                     qbar="proof"):
+def variation_oracle(surface, data, phi, direction, eps_list):
     """Compare first-variation formulas against central finite differences
     of recomputed geometry.
 
@@ -800,10 +780,8 @@ def variation_oracle(surface, data, phi, direction, eps_list,
         if data.slice_family is None:
             raise UnsupportedOperationError(
                 f"{data.name} has no unit-lapse slice family")
-        variants = ("proof", "lemma") if qbar == "both" else (qbar,)
-        checks = [(f"H2_lminus_{v}",
-                   delta_H2_minus_lminus(geom0, phi, variant=v),
-                   lambda g: g.H**2 - g.P**2) for v in variants]
+        checks = [("H2_lminus", delta_H2_minus_lminus(geom0, phi),
+                   lambda g: g.H**2 - g.P**2)]
         c = float(phi.flat[0])
 
         def slice_at(t):    # the slice the surface displaced by t lies in

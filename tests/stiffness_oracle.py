@@ -125,7 +125,7 @@ def weak_form(metric, c, drift_cov, robin_q):
         bid = grid.boundary_index
         K = K - sparse.csr_matrix((robin_q * dl, (bid, bid)), shape=(n, n))
     if drift_cov is not None:
-        wu, wv = metric.raise_covector(drift_cov[..., 0], drift_cov[..., 1])
+        wu, wv = metric.raise_covector(*drift_cov)
         drift = (sparse.diags(2.0 * wu.ravel()) @ duc_matrix(grid)
                  + sparse.diags(2.0 * wv.ravel()) @ dvc_matrix(grid))
         K = K + sparse.diags(mass) @ drift

@@ -25,15 +25,13 @@ def with_overrides(geom, mu=None, J_N=None, W_cov=None, dec=None):
         new.mu = margin + new.j_norm
     if W_cov is not None:
         new.W_cov = np.asarray(W_cov, float)
-        wu, wv = new.metric.raise_covector(new.W_cov[..., 0],
-                                           new.W_cov[..., 1])
-        new.divW = divergence(new.metric, (wu, wv))
-        new.W2 = new.metric.norm2_covector(new.W_cov[..., 0],
-                                           new.W_cov[..., 1])
+        new.divW = divergence(new.metric,
+                              new.metric.raise_covector(*new.W_cov))
+        new.W2 = new.metric.norm2_covector(*new.W_cov)
         if new.boundary is not None:
             nb = replace(new.boundary)
-            nb.W_nu = (new.W_cov[-1, :, 0] * nb.nu_chart[..., 0]
-                       + new.W_cov[-1, :, 1] * nb.nu_chart[..., 1])
+            nb.W_nu = (new.W_cov[0, -1] * nb.nu_chart[0]
+                       + new.W_cov[1, -1] * nb.nu_chart[1])
             new.boundary = nb
     new.Q = 0.5 * new.R_S - new.mu - new.J_N - 0.5 * new.chi_p2
     return new

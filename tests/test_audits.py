@@ -227,7 +227,7 @@ def test_g_quantity_potential_is_qbar(data, chart):
     # the g-quantity operator's potential K + (theta+/2 theta-)|chihat_-|^2
     # - G is the proof variant of Qbar (K = R_S / 2)
     geom = compute_geometry(chart(make_grid(grids.SPHERE, 32, 64)), data)
-    qbar = surfaces.qbar_potential(geom, "proof")
+    qbar = surfaces.qbar_potential(geom)
     by_hand = (geom.K + geom.theta_p / (2.0 * geom.theta_m) * geom.chihat_m2
                - compute_G_quantity(geom))
     assert np.max(np.abs(qbar - by_hand)) <= 1e-14 * np.max(np.abs(qbar))

@@ -82,6 +82,27 @@ def test_no_lapack_inverse_or_optimized_einsum():
     assert slow == []
 
 
+# attributes that change an array's layout: np.moveaxis, a.swapaxes,
+# a.transpose, a.T and np.ascontiguousarray
+_LAYOUT_CONVERSIONS = {"moveaxis", "swapaxes", "transpose", "T",
+                       "ascontiguousarray"}
+
+
+def _layout_conversions(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) \
+                and node.attr in _LAYOUT_CONVERSIONS:
+            yield f"{path.name}:{node.lineno} {ast.unparse(node)}"
+
+
+def test_surface_layer_holds_one_layout():
+    # charts, SurfaceGeometry and BoundaryData are component-major like the
+    # ambient jet, so the surface layer and its audits never transpose
+    found = [c for name in ("surfaces.py", "audits.py")
+             for c in _layout_conversions(SRC / name)]
+    assert found == []
+
+
 # public names that nothing in the package calls, and why each stays
 UNREFERENCED_EXEMPT = {
     "variation_oracle": "test oracle of the first-variation formulas",

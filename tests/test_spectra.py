@@ -85,11 +85,10 @@ def twisted_disk_geom(n, s=0.3):
     # the flat unit disk in the chart (u, v) -> u (cos(v + s u^2),
     # sin(v + s u^2), 0): g_uv != 0 up to and on the boundary
     grid = make_grid(grids.DISK, n, 2 * n)
-    U, V = grid.meshgrid()
-    u = U[..., None]
-    ph = V + s * U**2
-    e = np.stack([np.cos(ph), np.sin(ph), np.zeros_like(U)], axis=-1)
-    e_perp = np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(U)], axis=-1)
+    u, v = grid.meshgrid()
+    ph = v + s * u**2
+    e = np.stack([np.cos(ph), np.sin(ph), np.zeros_like(u)])
+    e_perp = np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(u)])
     base = flat_disk_chart(grid, 1.0)
     chart = surfaces.nodal_chart(
         base, u * e, e + 2.0 * s * u**2 * e_perp, u * e_perp,
@@ -197,7 +196,7 @@ def test_direct_fill_matches_sparse_products(topology, n_u, coeffs):
     guu, gvv = np.exp(0.5 * s_uu), np.exp(0.5 * s_vv)
     metric = grids.Metric2Field(grid, guu, 0.9 * np.tanh(s_uv)
                                 * np.sqrt(guu * gvv), gvv)
-    drift = np.stack([w_u, w_v], -1)
+    drift = np.stack([w_u, w_v])
     robin_q = q[-1] if topology == grids.DISK else None
     for drift_cov in (drift, None):
         K = spectra._weak_form(metric, c.ravel(), drift_cov, robin_q)
@@ -298,7 +297,7 @@ def test_formula_assembled_gradient_drift_consistency():
     U, _ = geom.grid.meshgrid()
     h = 0.3 * np.cos(U)
     w_cov = np.stack([grids.d_u(geom.grid, h, 1.0),
-                      grids.d_v(geom.grid, h)], -1)
+                      grids.d_v(geom.grid, h)])
     synth = with_overrides(geom, W_cov=w_cov)
     res_w = principal_eigenvalue(assemble(OperatorSpec(spectra.MOTS_L, synth)))
     res_s = principal_eigenvalue(assemble(OperatorSpec(spectra.MOTS_LS, geom)))
@@ -376,7 +375,7 @@ def test_stability_verdict_manufactured_gradient_w():
     U, _ = geom.grid.meshgrid()
     h = 0.25 * np.cos(U)
     w_cov = np.stack([grids.d_u(geom.grid, h, 1.0),
-                      grids.d_v(geom.grid, h)], -1)
+                      grids.d_v(geom.grid, h)])
     synth = with_overrides(geom, W_cov=w_cov)
     verdict = stability_verdict(synth)
     assert verdict.comparison_ok
@@ -534,7 +533,7 @@ def test_factor_input_has_the_grid_pattern():
         idata.minkowski_flat())
     flat = disk_geom(n, surfaces.CylinderSupport(1.0))
     U, _ = flat.grid.meshgrid()
-    drift = np.stack([0.3 * U, np.zeros_like(U)], -1)
+    drift = np.stack([0.3 * U, np.zeros_like(U)])
     sphere_ops = [assemble(OperatorSpec(spectra.MOTS_LS, ellipsoid)),
                   assemble(OperatorSpec(spectra.MOTS_LS, unit_sphere_geom(n))),
                   assemble(OperatorSpec(spectra.MOTS_L, pg_sphere_geom(

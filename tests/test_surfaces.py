@@ -1,6 +1,8 @@
 """Tests for the surface engine: extrinsic geometry, Hawking energy, and
 the first-variation finite-difference oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,16 @@ def grid64():
     return make_grid(grids.SPHERE, 64, 128)
 
 
+def metric_tensor(metric):
+    """g_S as a (2, 2, n_u, n_v) block, from the metric's components."""
+    return np.array([[metric.guu, metric.guv], [metric.guv, metric.gvv]])
+
+
+def inverse_metric_tensor(metric):
+    """g_S^-1 as a (2, 2, n_u, n_v) block, from the metric's components."""
+    return np.array([[metric.iuu, metric.iuv], [metric.iuv, metric.ivv]])
+
+
 def test_round_sphere_flat_geometry():
     geom = compute_geometry(sphere_chart(grid64(), 2.0), idata.minkowski_flat())
     assert np.max(np.abs(geom.H - 1.0)) < 1e-10
@@ -37,7 +49,7 @@ def test_round_sphere_flat_geometry():
     assert np.max(np.abs(geom.W_cov)) < 1e-12
     assert abs(geom.area - 16.0 * np.pi) < 0.001 * 16.0 * np.pi
     # A = g_S / r for the round sphere
-    assert np.max(np.abs(geom.A - geom.gS / 2.0)) < 1e-10
+    assert np.max(np.abs(geom.A - metric_tensor(geom.metric) / 2.0)) < 1e-10
 
 
 def _count_ddg(data):
@@ -65,8 +77,54 @@ def test_one_ambient_evaluation_per_point_set():
     data = idata.minkowski_flat()
     calls = _count_ddg(data)
     compute_geometry(flat_disk_chart(make_grid(grids.DISK, 16, 32), 1.0), data)
-    # surface nodes, then boundary nodes
-    assert calls == [(16, 32), (32,)]
+    # the surface nodes only: the boundary data reads the last ring of
+    # that jet
+    assert calls == [(16, 32)]
+
+
+@pytest.mark.parametrize("data", idata.catalog(), ids=lambda d: d.name)
+def test_boundary_ring_jet_is_the_surface_jet_sliced(data):
+    # the boundary data reads the last ring of the surface's jet; it is the
+    # jet evaluated at the ring's points, to the bit
+    chart = flat_disk_chart(make_grid(grids.DISK, 64, 128), 1.0, 0.5)
+    full = idata.evaluate(data, chart.F)
+    ring = idata.evaluate(data, chart.F[:, -1])
+    for field in dataclasses.fields(full):
+        assert np.array_equal(getattr(full, field.name)[..., -1, :],
+                              getattr(ring, field.name)), field.name
+
+
+@pytest.mark.parametrize("chart", [
+    sphere_chart(make_grid(grids.SPHERE, 16, 32), 1.0, (0.3, 0.0, 0.2)),
+    flat_disk_chart(make_grid(grids.DISK, 12, 32), 1.0, 0.5,
+                    BallSupport(np.sqrt(1.25))),
+], ids=["sphere", "disk"])
+def test_surface_fields_are_component_major(chart):
+    # components first, nodes last, as in the ambient jet: vectors
+    # (3, n_u, n_v), covectors (2, ...), 2-tensors (2, 2, ...), boundary
+    # vectors (3, n_v); every one C-contiguous
+    geom = compute_geometry(chart, idata.schwarzschild_pg(1.0))
+    nodes = chart.grid.shape
+    shapes = {name: (3,) + nodes for name in ("F", "N")}
+    shapes["W_cov"] = (2,) + nodes
+    shapes.update({name: (2, 2) + nodes
+                   for name in ("A", "k_S", "chi_p", "chihat_m")})
+    fields = [(name, getattr(geom, name), shape)
+              for name, shape in shapes.items()]
+    fields += [(f"chart.{name}", getattr(chart, name), (3,) + nodes)
+               for name in ("F", "Fu", "Fv", "Fuu", "Fuv", "Fvv")]
+    if geom.boundary is not None:
+        n_v = (chart.grid.n_v,)
+        fields += [(f"boundary.{name}", getattr(geom.boundary, name), shape)
+                   for name, shape in (("points", (3,) + n_v),
+                                       ("nu", (3,) + n_v),
+                                       ("normal", (3,) + n_v),
+                                       ("nbar", (3,) + n_v),
+                                       ("nu_chart", (2,) + n_v),
+                                       ("shape_op", (3, 3) + n_v))]
+    for name, field, shape in fields:
+        assert field.shape == shape, (name, field.shape)
+        assert field.flags.c_contiguous, name
 
 
 def test_definitional_identities_node_wise():
@@ -86,11 +144,11 @@ def test_definitional_identities_node_wise():
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
         assert np.max(np.abs(geom.chi_p - (geom.k_S + geom.A))) < 1e-12
         # trace-free part of chi_-
-        tr = np.einsum("...ab,...ab->...", geom.gS_inv, geom.chihat_m)
+        tr = np.einsum("ab...,ab...->...", inverse_metric_tensor(geom.metric),
+                       geom.chihat_m)
         assert np.max(np.abs(tr)) < 1e-10
         # unit normal
-        g3 = data.g(np.moveaxis(geom.F, -1, 0))
-        nn = np.einsum("ij...,...i,...j->...", g3, geom.N, geom.N)
+        nn = idata.bilinear(data.g(geom.F), geom.N, geom.N)
         assert np.max(np.abs(nn - 1.0)) < 1e-12
 
 
@@ -281,15 +339,21 @@ def test_variation_oracle_minus_lminus_hyperboloidal():
     chart = sphere_chart(grid64(), r)
     data = idata.hyperboloidal_flat()
     res = variation_oracle(chart, data, 1.0, surfaces.MINUS_L_MINUS,
-                           [1e-3, 5e-4], qbar="both")
+                           [1e-3, 5e-4])
     expected = (8.0 / r**2) * (1.0 - 1.0 / r)
-    for name in ("H2_lminus_proof", "H2_lminus_lemma"):
-        assert np.max(np.abs(res.formula_fields[name] - expected)) < 1e-9
-        assert res.max_deviation(name, 1e-3) < 1e-5
-    # the two Qbar variants agree identically in two dimensions
-    diff = np.max(np.abs(res.formula_fields["H2_lminus_proof"]
-                         - res.formula_fields["H2_lminus_lemma"]))
-    assert diff < 1e-11
+    formula = res.formula_fields["H2_lminus"]
+    assert np.max(np.abs(formula - expected)) < 1e-9
+    assert res.max_deviation("H2_lminus", 1e-3) < 1e-5
+    # the lemma's form of Qbar, (1/2 theta- theta+, |chi_-|^2) in place of
+    # (3/4 theta- theta+, |chihat_-|^2), agrees identically in two
+    # dimensions
+    g = compute_geometry(chart, data)
+    lemma = (0.5 * g.R_S - 0.5 * g.G_lplm
+             + g.theta_p / (2.0 * g.theta_m) * (g.chi_m2 + g.G_lmlm)
+             + 0.5 * g.theta_m * g.theta_p)
+    lemma_formula = -2.0 * g.theta_m * surfaces._strong_form(
+        g, (g.divW - g.W2 + lemma, g.W_cov), np.ones(g.grid.shape))
+    assert np.max(np.abs(formula - lemma_formula)) < 1e-11
 
 
 def test_variation_oracle_minus_lminus_guards():
@@ -310,7 +374,7 @@ def test_overrides_recompute_q():
     U, V = geom.grid.meshgrid()
     h = 0.3 * np.cos(U)
     gu, gv = grids.gradient(geom.metric, h)
-    w_cov = np.stack([grids.d_u(geom.grid, h, 1.0), grids.d_v(geom.grid, h)], -1)
+    w_cov = np.stack([grids.d_u(geom.grid, h, 1.0), grids.d_v(geom.grid, h)])
     synth = with_overrides(geom, W_cov=w_cov)
     lap = grids.laplace_beltrami(geom.metric, h)
     assert np.max(np.abs(synth.divW - lap)) < 1e-10
@@ -349,7 +413,7 @@ def test_variation_oracle_drift_term():
     phi = 1.0 + 0.3 * np.cos(U) + 0.2 * np.sin(U) * np.cos(V)
     geom = compute_geometry(chart, data)
     gu, gv = grids.gradient(geom.metric, phi, order=4)
-    drift = 2.0 * (geom.W_cov[..., 0] * gu + geom.W_cov[..., 1] * gv)
+    drift = 2.0 * (geom.W_cov[0] * gu + geom.W_cov[1] * gv)
     assert np.max(np.abs(drift)) > 0.1
     res = variation_oracle(chart, data, phi, surfaces.NORMAL_N, [5e-4])
     assert res.max_deviation("theta_plus") < 1e-2
@@ -429,7 +493,7 @@ def _node_reference(data, chart, i, j):
     """The geometric fields at node (i, j) from the index formulas, one
     point at a time, with LAPACK's inverse and the full derivative of the
     Christoffel symbols."""
-    x = chart.F[i, j]
+    x = chart.F[:, i, j]
     g, dg, ddg = data.g(x), data.dg(x), data.ddg(x)
     k, dk = data.k(x), data.dk(x)
     ginv = np.linalg.inv(g)
@@ -452,9 +516,9 @@ def _node_reference(data, chart, i, j):
                - np.einsum("pmj,ip->mij", gam, k))          # (nabla_m k)_ij
     J = np.einsum("ab,abj->j", ginv, nabla_k) - dtrk
 
-    E = np.array([chart.Fu[i, j], chart.Fv[i, j]])
-    second = np.array([[chart.Fuu[i, j], chart.Fuv[i, j]],
-                       [chart.Fuv[i, j], chart.Fvv[i, j]]])
+    E = np.array([chart.Fu[:, i, j], chart.Fv[:, i, j]])
+    second = np.array([[chart.Fuu[:, i, j], chart.Fuv[:, i, j]],
+                       [chart.Fuv[:, i, j], chart.Fvv[:, i, j]]])
     gS = E @ g @ E.T
     gS_inv = np.linalg.inv(gS)
     n_cov = np.cross(E[0], E[1])
@@ -485,7 +549,7 @@ def _boundary_reference(data, chart, j):
     """cos gamma, Pi, Pi(N, N), H_dM and W(nu) at boundary node j."""
     _, (g, ginv, gam, k, E, gS_inv, N) = _node_reference(data, chart, -1, j)
     support = chart.support
-    x = chart.F[-1, j]
+    x = chart.F[:, -1, j]
     s = support.sign * support.grad(x)
     hess = support.sign * support.hess(x)
     dginv = -np.einsum("ia,mab,bl->mil", ginv, data.dg(x), ginv)
@@ -529,7 +593,9 @@ def test_geometry_matches_node_reference(case):
     for i, j in nodes:
         ref, _ = _node_reference(data, chart, i, j)
         for name, expected in ref.items():
-            got = getattr(geom, name)[i, j]
+            field = metric_tensor(geom.metric) if name == "gS" \
+                else getattr(geom, name)
+            got = field[..., i, j]
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(got - expected)) <= 1e-12 * scale, \
                 (name, i, j)
@@ -537,6 +603,6 @@ def test_geometry_matches_node_reference(case):
         return
     for j in rng.integers(0, chart.grid.n_v, 8):
         for name, expected in _boundary_reference(data, chart, j).items():
-            got = getattr(geom.boundary, name)[j]
+            got = getattr(geom.boundary, name)[..., j]
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(got - expected)) <= 1e-12 * scale, (name, j)

@@ -9,9 +9,11 @@ failed hypothesis always dominates the margin sign.
 Ambient infima are approximated by declared finite sample sets (surface
 nodes, boundary nodes, or collar samples); each report records which.
 
-Every lambda_1 an audit reports comes from ``spectra.principal_eigenvalue``.
-The audits read the surface geometry alone; the collar infimum also
-evaluates the initial data off the surface.
+Every lambda_1 an audit reports comes from ``spectra.principal_eigenvalue``
+on an operator assembled from its coefficients (c, drift, q): those of a
+stability operator in ``surfaces``, or an audit's own potential c with the
+free boundary q on a disk. The audits read the surface geometry alone; the
+collar infimum also evaluates the initial data off the surface.
 """
 
 from dataclasses import dataclass, field
@@ -79,16 +81,19 @@ def _finish(theorem_id, lhs, rhs, flags, diagnostics, notes="", extras=None,
                        verdict, notes, extras or {})
 
 
-def _principal_or_error(spec):
-    """Principal eigenpair of ``spec``, or the error that leaves it undefined."""
+def _principal_or_error(geom, coefficients):
+    """Principal eigenpair of the operator whose (c, drift, q) the
+    ``surfaces`` function ``coefficients`` gives on ``geom``, or the error
+    that leaves it undefined."""
     try:
-        return spectra.principal_eigenvalue(spectra.assemble(spec))
+        return spectra.principal_eigenvalue(
+            spectra.assemble(geom, *coefficients(geom)))
     except (UnsupportedOperationError, ValueError) as err:
         return err
 
 
-def _lambda1_or_nan(spec):
-    res = _principal_or_error(spec)
+def _lambda1_or_nan(geom, coefficients):
+    res = _principal_or_error(geom, coefficients)
     return float("nan") if isinstance(res, Exception) else res.lambda1
 
 
@@ -118,7 +123,7 @@ def audit_cy_estimate(geom):
     extras = {}
     if not degenerate and np.min(geom.H) > 0.0:
         extras["lambda1_hstab_normal"] = _lambda1_or_nan(
-            spectra.OperatorSpec(spectra.HSTAB_NORMAL, geom))
+            geom, surfaces.hstab_normal_coefficients)
 
     if degenerate:
         return _finish("cy-estimate", 0.0, 0.0, flags, [],
@@ -163,7 +168,7 @@ def audit_hawking_bound(geom):
     extras = {"min_spacelike_margin": float(np.min(geom.H - np.abs(geom.P)))}
     if np.min(np.abs(geom.theta_m)) > 1e-12:
         extras["lambda1_hstab_lminus"] = _lambda1_or_nan(
-            spectra.OperatorSpec(spectra.HSTAB_MINUS_LMINUS, geom))
+            geom, surfaces.hstab_minus_lminus_coefficients)
 
     rhs = surfaces.hawking_energy(geom)
     lhs = (np.sqrt(geom.area) / (48.0 * np.pi**1.5)
@@ -197,7 +202,7 @@ def audit_cohn_vossen(geom, theta_tol=spectra.THETA_TOL,
     is_mots = max_tp < theta_tol
     lam1 = float("nan")
     if is_mots:
-        lam1 = _lambda1_or_nan(spectra.mots_spec(geom))
+        lam1 = _lambda1_or_nan(geom, surfaces.mots_coefficients)
     stable = is_mots and np.isfinite(lam1) and lam1 >= -stab_tol
 
     dec_min = float(np.min(geom.mu - geom.j_norm))
@@ -244,8 +249,7 @@ def audit_growth_bounds(geom, a, c=None, q_field=None,
         q_field = np.broadcast_to(np.asarray(q_field, dtype=float),
                                   geom.grid.shape)
         pot = a * geom.K - q_field
-    op = spectra.assemble(spectra.OperatorSpec(
-        spectra.CUSTOM_SYMMETRIC, geom, c_field=pot))
+    op = spectra.assemble(geom, pot, q=surfaces.free_boundary_q(geom))
     lam1 = spectra.principal_eigenvalue(op).lambda1
     flags = [HypothesisFlag("operator_nonnegative", lam1 >= -stab_tol, lam1)]
 
@@ -299,13 +303,13 @@ def audit_theorem_481(geom, stab_tol=spectra.STAB_TOL):
     the informational topology claims.
     """
     min_g = float(np.min(compute_G_quantity(geom)))
-    op = spectra.assemble(spectra.OperatorSpec(
-        spectra.CUSTOM_SYMMETRIC, geom, c_field=surfaces.qbar_potential(geom)))
+    op = spectra.assemble(geom, surfaces.qbar_potential(geom),
+                          q=surfaces.free_boundary_q(geom))
     lam1 = spectra.principal_eigenvalue(op).lambda1
 
     min_tm = float(np.min(np.abs(geom.theta_m)))
-    lam1_hstab = _lambda1_or_nan(spectra.OperatorSpec(
-        spectra.HSTAB_MINUS_LMINUS, geom))
+    lam1_hstab = _lambda1_or_nan(geom,
+                                 surfaces.hstab_minus_lminus_coefficients)
     flags = [
         HypothesisFlag("spacetime_extension", True, 1.0),
         HypothesisFlag("theta_minus_nonvanishing", min_tm > 1e-12, min_tm),
@@ -341,7 +345,7 @@ def _free_boundary_flags(geom, theta_tol, stab_tol):
     gamma_dev = float(np.max(np.abs(b.gamma - 0.5 * np.pi)))
     max_tp = float(np.max(np.abs(geom.theta_p)))
     is_mots = max_tp < theta_tol
-    res_L = _principal_or_error(spectra.mots_spec(geom))
+    res_L = _principal_or_error(geom, surfaces.mots_coefficients)
     lam1 = float("nan") if isinstance(res_L, Exception) else res_L.lambda1
     stable = is_mots and np.isfinite(lam1) and lam1 >= -stab_tol
     pi_max = float(np.max(b.Pi_NN))
@@ -386,7 +390,7 @@ def audit_I_sigma(geom, theta_tol=spectra.THETA_TOL,
 
     # equality diagnostics per the rigidity case
     res_Ls = spectra.principal_eigenvalue(spectra.assemble(
-        spectra.mots_spec(geom, spectra.MOTS_LS)))
+        geom, *surfaces.symmetrized_coefficients(geom)))
     phi = res_L.eigenfunction
     logphi = np.log(np.maximum(phi, 1e-300))
     dlog = np.stack([grids.d_u(geom.grid, logphi, 1.0),

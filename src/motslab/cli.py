@@ -137,28 +137,32 @@ def resolve_surface(spec, grid_shape):
                               support=support)
 
 
+# the (c, drift, q) of each --operator
 _OPERATORS = {
-    "L": spectra.MOTS_L,
-    "Ls": spectra.MOTS_LS,
-    "Hstab-N": spectra.HSTAB_NORMAL,
-    "Hstab-lminus": spectra.HSTAB_MINUS_LMINUS,
+    "L": surfaces.mots_coefficients,
+    "Ls": surfaces.symmetrized_coefficients,
+    "Hstab-N": surfaces.hstab_normal_coefficients,
+    "Hstab-lminus": surfaces.hstab_minus_lminus_coefficients,
+}
+
+# the Robin q of each --bc word but the contact angle robin:gamma=<rad>
+_ROBIN_Q = {
+    "robin:free": surfaces.free_boundary_q,
+    "robin:sym": lambda geom: surfaces.symmetrized_coefficients(geom)[2],
 }
 
 
 def resolve_bc(text):
-    """Robin source and contact angle of a ``--bc`` word; (None, None) for
-    ``closed``."""
+    """The Robin q of a ``--bc`` word, a function of the geometry; None
+    for ``closed``."""
     text = (text or "closed").strip()
     if text == "closed":
-        return None, None
-    if text.startswith("robin"):
-        _, _, rest = text.partition(":")
-        if rest == "free" or rest == "":
-            return spectra.Q_FREE, None
-        if rest == "sym":
-            return spectra.Q_SYMMETRIZED, None
-        if rest.startswith("gamma="):
-            return spectra.Q_CAPILLARY, float(rest[6:])
+        return None
+    if text in _ROBIN_Q:
+        return _ROBIN_Q[text]
+    if text.startswith("robin:gamma="):
+        gamma = float(text[len("robin:gamma="):])
+        return lambda geom: surfaces.capillary_q(geom, gamma)
     raise ValueError(f"unknown boundary condition {text!r}")
 
 
@@ -289,16 +293,17 @@ _EIGEN_HEADER = ["data", "surface", "grid", "operator", "bc", "lambda1",
 
 def run_eigen(cfg):
     _, geom = _geometry(cfg)
-    q_source, gamma = resolve_bc(cfg.bc)
-    if (q_source is None) != (geom.grid.topology == grids.SPHERE):
+    q_of = resolve_bc(cfg.bc)
+    if (q_of is None) != (geom.grid.topology == grids.SPHERE):
         raise TopologyError("closed problems require sphere topology"
-                            if q_source is None else
+                            if q_of is None else
                             "Robin problems require disk topology")
-    spec = spectra.OperatorSpec(_OPERATORS[cfg.operator], geom,
-                                q_source=q_source, gamma=gamma)
+    # the --bc word, not the operator, sets q
+    q = None if q_of is None else q_of(geom)
+    c, drift, _ = _OPERATORS[cfg.operator](geom)
     # the one command that reports the adjoint eigenvalue: transposed
     # solves on the forward factor, none for a symmetric pencil
-    opmat = spectra.assemble(spec)
+    opmat = spectra.assemble(geom, c, drift, q)
     factor = spectra.factors(opmat)
     result = spectra.principal_eigenvalue(opmat, factor)
     adjoint = result.lambda1 if opmat.symmetric else \

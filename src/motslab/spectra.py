@@ -1,14 +1,18 @@
 """Stability operators of MOTS and H-stable surfaces, and their spectra.
 
 The elliptic operators all share the shape L = -Laplace + 2 <W, grad .> +
-c(x), with (c, W) per kind from the one definition in ``surfaces`` that
-the first-variation formulas also apply. The surface decides the boundary
-condition: closed on the sphere, Robin d/dnu phi = q phi on the disk
-boundary. Assembly is in weak form: the -Laplace block is the
-discrete Dirichlet energy, a compact 9-point stencil on the (u, v) chart
-in which the faces between rings carry the u-u coefficient, the faces
-within rings the v-v coefficient, and the two face families share the
-mixed u-v terms (exactly symmetric, exact on constants); the Robin data
+c(x), with the Robin condition d/dnu phi = q phi on a disk boundary and
+none on a closed sphere. An operator is its coefficients: ``assemble``
+takes the arrays (c, drift, q) that one function in ``surfaces`` returns
+per operator (the same (c, drift) the first-variation formulas apply), or
+a caller's own potential c with the free boundary q. A Robin q > 0 next
+to a drift breaks the sign hypothesis of the principal-eigenvalue theorem,
+and the assembled pencil carries a warning then.
+
+Assembly is in weak form: the -Laplace block is the discrete Dirichlet
+energy, a compact 9-point stencil on the (u, v) chart in which the faces
+between rings carry the u-u coefficient, the faces within rings the v-v
+coefficient, and the two face families share the mixed u-v terms (exactly symmetric, exact on constants); the Robin data
 enters as the boundary term of the integration by parts, and first-order
 drift rows are added with node-centered stencils. ``_weak_form`` writes
 every entry straight into the CSC structure of the grid's fixed stencil
@@ -51,46 +55,15 @@ from scipy.sparse.linalg import eigsh  # noqa: F401
 from . import grids, surfaces
 from .errors import IterationFailureError, NotAMOTSError, TopologyError
 
-MOTS_L = "MotsL"
-MOTS_LS = "MotsLs"
-HSTAB_NORMAL = "HStabNormal"
-HSTAB_MINUS_LMINUS = "HStabMinusLminus"
-CUSTOM_SYMMETRIC = "CustomSymmetric"
-
-Q_FREE = "free"
-Q_CAPILLARY = "capillary"
-Q_SYMMETRIZED = "sym"
-
 # max |theta_+| of a MOTS, and the most negative lambda_1 counted as stable
 THETA_TOL = 1e-6
 STAB_TOL = 1e-8
 
 
 @dataclass
-class OperatorSpec:
-    """Selection of operator kind and parameters. The boundary condition
-    follows the surface: closed on a sphere; on a disk, Robin with the q
-    that ``q_source`` (and ``gamma``) select."""
-
-    kind: str
-    geometry: surfaces.SurfaceGeometry
-    q_source: str = Q_FREE
-    gamma: float | None = None
-    c_field: np.ndarray | None = None     # CustomSymmetric only
-
-
-def mots_spec(geometry, kind=MOTS_L):
-    """The MOTS operator of ``kind`` (MOTS_L or MOTS_LS): on the disk its
-    Robin q is the free boundary q for L and the symmetrized q for L_s."""
-    return OperatorSpec(kind, geometry,
-                        q_source=Q_SYMMETRIZED if kind == MOTS_LS else Q_FREE)
-
-
-@dataclass
 class OperatorMatrix:
     """Weak-form operator pencil (K, M) with boundary-condition metadata."""
 
-    n: int
     weak: sparse.csc_matrix
     mass: np.ndarray
     c: np.ndarray
@@ -264,71 +237,27 @@ def _weak_form(metric, c, drift_cov, robin_q):
 # operator assembly
 
 
-def robin_coefficient(geometry, q_source, gamma=None):
-    """Per-boundary-node Robin coefficient q for the requested source."""
-    b = geometry.boundary
-    if b is None:
-        raise TopologyError("Robin data requires a surface with boundary")
-    if q_source == Q_FREE:
-        return b.Pi_NN.copy()
-    if q_source == Q_CAPILLARY:
-        if gamma is None:
-            raise ValueError("capillary Robin data requires gamma")
-        gamma = float(gamma)
-        if not 1e-3 < gamma < np.pi - 1e-3:
-            raise ValueError("gamma must lie in (0, pi) away from the "
-                             "endpoints by 1e-3")
-        return (-np.cos(gamma) / np.sin(gamma) * b.A_nunu
-                + b.Pi_nubar(gamma) / np.sin(gamma))
-    if q_source == Q_SYMMETRIZED:
-        base = robin_coefficient(geometry, Q_CAPILLARY, gamma) \
-            if gamma is not None else robin_coefficient(geometry, Q_FREE)
-        return base - b.W_nu
-    raise ValueError(f"unknown Robin source {q_source!r}")
-
-
-def _custom_coefficients(spec):
-    if spec.c_field is None:
-        raise ValueError("CustomSymmetric requires c_field")
-    return spec.c_field, None
-
-
-# zeroth-order coefficient c and drift covector of each operator kind
-_COEFFICIENTS = {
-    MOTS_L: lambda spec: surfaces.mots_coefficients(spec.geometry),
-    MOTS_LS: lambda spec: surfaces.symmetrized_coefficients(spec.geometry),
-    HSTAB_NORMAL: lambda spec: surfaces.hstab_normal_coefficients(
-        spec.geometry),
-    HSTAB_MINUS_LMINUS: lambda spec: surfaces.hstab_minus_lminus_coefficients(
-        spec.geometry),
-    CUSTOM_SYMMETRIC: _custom_coefficients,
-}
-
-
-def assemble(spec):
-    """Assemble the weak-form operator pencil for an OperatorSpec: closed
-    on a sphere, with the Robin boundary term on a surface with boundary."""
-    geom = spec.geometry
-    grid = geom.grid
-    robin_q = None
-    if geom.boundary is not None:
-        robin_q = robin_coefficient(geom, spec.q_source, spec.gamma)
-    if spec.kind not in _COEFFICIENTS:
-        raise ValueError(f"unknown operator kind {spec.kind!r}")
-    c2d, drift_cov = _COEFFICIENTS[spec.kind](spec)
-    c = np.asarray(c2d, dtype=float).ravel()
-
+def assemble(geometry, c, drift=None, q=None):
+    """Weak-form pencil of -Laplace + 2 <drift, grad .> + c on ``geometry``,
+    with the Robin term of ``q`` (one value per boundary node), which is
+    given exactly when the surface has a boundary. A q > 0 somewhere next
+    to a drift is recorded as a warning: without a drift the pencil is
+    symmetric and lambda_1 is a Rayleigh minimum whatever the sign of q."""
+    if (q is None) != (geometry.boundary is None):
+        raise TopologyError("Robin data requires a surface with boundary"
+                            if q is not None else
+                            "a surface with boundary requires Robin data")
+    c = np.asarray(c, dtype=float).ravel()
     warnings = []
-    if robin_q is not None and np.max(robin_q) > 0.0 \
-            and spec.kind in (MOTS_L, HSTAB_NORMAL, HSTAB_MINUS_LMINUS):
+    if drift is not None and q is not None and np.max(q) > 0.0:
         warnings.append(
             "q > 0 somewhere on the boundary: the sign hypothesis of the "
             "principal-eigenvalue theorem (beta = -q >= 0) is violated")
     return OperatorMatrix(
-        n=grid.n_nodes, weak=_weak_form(geom.metric, c, drift_cov, robin_q),
-        mass=geom.metric.dmu.ravel(), c=c,
-        symmetric=drift_cov is None or np.max(np.abs(drift_cov)) == 0.0,
-        robin_q=robin_q, geometry=geom, warnings=warnings)
+        weak=_weak_form(geometry.metric, c, drift, q),
+        mass=geometry.metric.dmu.ravel(), c=c,
+        symmetric=drift is None or np.max(np.abs(drift)) == 0.0,
+        robin_q=q, geometry=geometry, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +292,7 @@ def _shifted_matrix(opmat, delta):
     zeros where entries cancel), so the factorization's ordering and fill
     depend on the grid alone."""
     shifted = opmat.weak.tocsc(copy=True)
-    diagonal = shifted.indices == np.repeat(np.arange(opmat.n),
+    diagonal = shifted.indices == np.repeat(np.arange(opmat.mass.size),
                                             np.diff(shifted.indptr))
     shifted.data[diagonal] += delta * opmat.mass
     return shifted
@@ -531,10 +460,11 @@ def stability_verdict(geometry):
     max_tp = float(np.max(np.abs(geometry.theta_p)))
     if max_tp >= THETA_TOL:
         raise NotAMOTSError(max_tp, THETA_TOL)
-    op_L = assemble(mots_spec(geometry, MOTS_L))
+    op_L = assemble(geometry, *surfaces.mots_coefficients(geometry))
     q_max = None if op_L.robin_q is None else float(np.max(op_L.robin_q))
     res_L = principal_eigenvalue(op_L)
-    res_Ls = principal_eigenvalue(assemble(mots_spec(geometry, MOTS_LS)))
+    res_Ls = principal_eigenvalue(assemble(
+        geometry, *surfaces.symmetrized_coefficients(geometry)))
     comparison = None
     if q_max is None or q_max <= 0.0:
         comparison = bool(res_L.lambda1 <= res_Ls.lambda1 + 1e-7)

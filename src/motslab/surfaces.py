@@ -15,11 +15,14 @@ covectors ``W_cov[a, u, v]``, 2-tensors ``A[a, b, u, v]``, and boundary
 data ``nu[i, v]``. The induced metric and its inverse are held once, in
 the ``Metric2Field``.
 
-Each stability operator -Laplace + 2 <drift, grad .> + c has its one
-definition of (c, drift) here: ``spectra.assemble`` factors it and the
-first-variation formulas of theta_+ and |H|^2 apply it in strong form. A
-finite-difference variation oracle checks those formulas against
-recomputed geometry of perturbed surfaces.
+Each stability operator -Laplace + 2 <drift, grad .> + c, with the Robin
+condition d/dnu phi = q phi on a boundary, is its coefficients: one
+function here returns its (c, drift, q), q None on a closed surface.
+``spectra.assemble`` takes those arrays, and the first-variation formulas
+of theta_+ and |H|^2 apply (c, drift) in strong form. The free boundary
+and capillary q are defined here too. A finite-difference variation
+oracle checks those formulas against recomputed geometry of perturbed
+surfaces.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -346,7 +349,6 @@ class BoundaryData:
     nu_chart: np.ndarray        # outward conormal, chart components (2, n_v)
     nu: np.ndarray              # outward conormal in M
     normal: np.ndarray          # surface normal N at the boundary
-    nbar: np.ndarray            # outward unit normal of the support
     cos_gamma: np.ndarray
     gamma: np.ndarray
     shape_op: np.ndarray        # nabla Nbar, covariant (3, 3, n_v)
@@ -392,7 +394,6 @@ class SurfaceGeometry:
     j_norm: np.ndarray
     Q: np.ndarray
     chi_p2: np.ndarray
-    chi_m2: np.ndarray
     chihat_m2: np.ndarray
     absA2: np.ndarray
     absk2: np.ndarray
@@ -498,15 +499,13 @@ def compute_geometry(surface, data):
     W_cov = np.stack([dot(e_u, k_N), dot(e_v, k_N)])
 
     chi_p = k_S + A
-    chi_m = k_S - A
     theta_p = P + H
     theta_m = P - H
-    chihat_m = chi_m - 0.5 * theta_m * _sym2(guu, guv, gvv)
+    chihat_m = k_S - A - 0.5 * theta_m * _sym2(guu, guv, gvv)
 
     J_N = dot(jet.J, N)
 
     chi_p2 = _sym2_dot(metric, chi_p, chi_p)
-    chi_m2 = _sym2_dot(metric, chi_m, chi_m)
     chihat_m2 = _sym2_dot(metric, chihat_m, chihat_m)
     absA2 = _sym2_dot(metric, A, A)
 
@@ -551,8 +550,8 @@ def compute_geometry(surface, data):
         chart=surface, metric=metric, F=surface.F, N=N, A=A, H=H, k_S=k_S,
         P=P, W_cov=W_cov, chi_p=chi_p, chihat_m=chihat_m,
         theta_p=theta_p, theta_m=theta_m, K=K, R_S=R_S, mu=jet.mu, J_N=J_N,
-        j_norm=jet.j_norm, Q=Q, chi_p2=chi_p2, chi_m2=chi_m2,
-        chihat_m2=chihat_m2, absA2=absA2, absk2=jet.absk2, trk=jet.trk,
+        j_norm=jet.j_norm, Q=Q, chi_p2=chi_p2, chihat_m2=chihat_m2,
+        absA2=absA2, absk2=jet.absk2, trk=jet.trk,
         kNN=kNN, A_dot_kS=A_dot_kS,
         RicNN=RicNN, R_M=jet.R, nabla_N_P=nabla_N_P, divW=divW, W2=W2,
         area=area, G_lplm=G_lplm, G_lmlm=G_lmlm, G_lplp=G_lplp,
@@ -589,7 +588,7 @@ def _boundary_data(surface, jet, metric, N, W_cov, A):
     W_nu = W_cov[0, -1] * nu_chart[0] + W_cov[1, -1] * nu_chart[1]
     H_dM = np.einsum("ij...,ij...->...", ring.ginv, shape_op)
     return BoundaryData(points=xb, nu_chart=nu_chart, nu=nu, normal=Nb,
-                        nbar=nbar, cos_gamma=cosg, gamma=gamma,
+                        cos_gamma=cosg, gamma=gamma,
                         shape_op=shape_op, Pi_NN=Pi_NN,
                         A_nunu=A_nunu, W_nu=W_nu, H_dM=H_dM,
                         length_element=metric.boundary_line_element())
@@ -609,21 +608,45 @@ def hawking_energy(geom):
 
 
 # ---------------------------------------------------------------------------
-# stability operators -Laplace + 2 <drift, grad .> + c: their (c, drift)
+# stability operators -Laplace + 2 <drift, grad .> + c, with the Robin
+# condition d/dnu phi = q phi on a boundary: their (c, drift, q), q None on
+# a closed surface
+
+
+def free_boundary_q(geom):
+    """q = Pi(N, N) of the free boundary; None on a closed surface."""
+    return None if geom.boundary is None else geom.boundary.Pi_NN
+
+
+def capillary_q(geom, gamma):
+    """q = (Pi(nubar, nubar) - cos(gamma) A(nu, nu)) / sin(gamma) of the
+    capillary boundary at contact angle gamma, which must lie in (0, pi)
+    away from the endpoints by 1e-3."""
+    gamma = float(gamma)
+    if not 1e-3 < gamma < np.pi - 1e-3:
+        raise ValueError("gamma must lie in (0, pi) away from the "
+                         "endpoints by 1e-3")
+    b = geom.boundary
+    return (-np.cos(gamma) / np.sin(gamma) * b.A_nunu
+            + b.Pi_nubar(gamma) / np.sin(gamma))
 
 
 def mots_coefficients(geom):
-    """c = Q + div W - |W|^2 and drift W of the MOTS stability operator L."""
-    return geom.divW - geom.W2 + geom.Q, geom.W_cov
+    """c = Q + div W - |W|^2, drift W and the free boundary q of the MOTS
+    stability operator L."""
+    return geom.divW - geom.W2 + geom.Q, geom.W_cov, free_boundary_q(geom)
 
 
 def symmetrized_coefficients(geom):
-    """c = Q and no drift: the symmetrized MOTS operator L_s."""
-    return geom.Q, None
+    """c = Q, no drift and q = Pi(N, N) - <W, nu>: the symmetrized MOTS
+    operator L_s."""
+    q = free_boundary_q(geom)
+    return geom.Q, None, None if q is None else q - geom.boundary.W_nu
 
 
 def hstab_normal_coefficients(geom):
-    """c and drift -(P/H) W of the normal H-stability operator (H > 0)."""
+    """c, drift -(P/H) W and the free boundary q of the normal H-stability
+    operator (H > 0)."""
     if np.min(geom.H) <= 0.0:
         raise UnsupportedOperationError(
             "the normal-direction H-stability operator requires H > 0")
@@ -632,7 +655,7 @@ def hstab_normal_coefficients(geom):
                 - geom.absA2 - geom.H**2)
          - ratio * (-geom.J_N + geom.divW + geom.H * geom.kNN
                     - geom.A_dot_kS))
-    return c, -ratio * geom.W_cov
+    return c, -ratio * geom.W_cov, free_boundary_q(geom)
 
 
 def qbar_potential(geom):
@@ -656,14 +679,17 @@ def qbar_potential(geom):
 
 
 def hstab_minus_lminus_coefficients(geom):
-    """c = div W - |W|^2 + Qbar and drift W: the -l_- H-stability operator."""
-    return geom.divW - geom.W2 + qbar_potential(geom), geom.W_cov
+    """c = div W - |W|^2 + Qbar, drift W and the free boundary q: the -l_-
+    H-stability operator."""
+    return (geom.divW - geom.W2 + qbar_potential(geom), geom.W_cov,
+            free_boundary_q(geom))
 
 
 def _strong_form(geom, coefficients, phi):
-    """-Laplace phi + 2 <drift, grad phi> + c phi for (c, drift). Fourth-order
-    stencils keep truncation below the oracle's finite-difference error."""
-    c, drift = coefficients
+    """-Laplace phi + 2 <drift, grad phi> + c phi for (c, drift, q) (q
+    plays no part in the interior). Fourth-order stencils keep truncation
+    below the oracle's finite-difference error."""
+    c, drift, _ = coefficients
     gu, gv = grids.gradient(geom.metric, phi, order=4)
     return (-divergence(geom.metric, (gu, gv), order=4)
             + 2.0 * (drift[0] * gu + drift[1] * gv) + c * phi)

@@ -18,13 +18,16 @@ from motslab.grids import (
     integrate,
     make_grid,
 )
-from motslab.spectra import OperatorSpec, assemble, principal_eigenvalue
+from motslab.spectra import assemble, principal_eigenvalue
 from motslab.surfaces import (
     compute_geometry,
     ellipsoid_chart,
     flat_disk_chart,
+    free_boundary_q,
     hawking_energy,
+    mots_coefficients,
     sphere_chart,
+    symmetrized_coefficients,
     variation_oracle,
 )
 
@@ -138,9 +141,11 @@ def test_criterion_5_appendix_eigensolver():
         res = principal_eigenvalue(op, factor)
         return res, spectra.adjoint_eigenvalue(op, factor, res.shift)
 
-    res, adj = with_adjoint(assemble(OperatorSpec(spectra.MOTS_LS, horizon)))
-    res_d, adj_d = with_adjoint(assemble(OperatorSpec(
-        spectra.MOTS_LS, disk, q_source=spectra.Q_FREE)))
+    res, adj = with_adjoint(assemble(horizon,
+                                     *symmetrized_coefficients(horizon)))
+    # L_s with the free boundary q
+    res_d, adj_d = with_adjoint(assemble(
+        disk, *symmetrized_coefficients(disk)[:2], free_boundary_q(disk)))
     elapsed = time.perf_counter() - t0
     const_dev = float(np.max(np.abs(res_d.eigenfunction - 1.0)))
     ok = (abs(res.lambda1 - 0.25) < 0.01 * 0.25
@@ -161,27 +166,27 @@ def test_criterion_6_symmetric_comparison():
     def lam(op):
         return principal_eigenvalue(op).lambda1
 
+    def operator(geom, coefficients):
+        return assemble(geom, *coefficients(geom))
+
     # W = 0 equality cases: Neumann disk, Schwarzschild horizon,
     # de Sitter slice sphere
     disk = compute_geometry(flat_disk_chart(make_grid(grids.DISK, 32, 64)),
                             idata.minkowski_flat())
-    cases.append(("disk", lam(assemble(OperatorSpec(
-        spectra.MOTS_L, disk, q_source=spectra.Q_FREE))),
-        lam(assemble(OperatorSpec(
-            spectra.MOTS_LS, disk,
-            q_source=spectra.Q_SYMMETRIZED))), True))
+    cases.append(("disk", lam(operator(disk, mots_coefficients)),
+                  lam(operator(disk, symmetrized_coefficients)), True))
     horizon = compute_geometry(
         sphere_chart(make_grid(grids.SPHERE, 32, 64), 0.5),
         idata.schwarzschild_isotropic(1.0))
     cases.append(("horizon",
-                  lam(assemble(OperatorSpec(spectra.MOTS_L, horizon))),
-                  lam(assemble(OperatorSpec(spectra.MOTS_LS, horizon))), True))
+                  lam(operator(horizon, mots_coefficients)),
+                  lam(operator(horizon, symmetrized_coefficients)), True))
     desitter = compute_geometry(
         sphere_chart(make_grid(grids.SPHERE, 32, 64), 1.0),
         idata.hyperboloidal_flat())
     cases.append(("desitter",
-                  lam(assemble(OperatorSpec(spectra.MOTS_L, desitter))),
-                  lam(assemble(OperatorSpec(spectra.MOTS_LS, desitter))), True))
+                  lam(operator(desitter, mots_coefficients)),
+                  lam(operator(desitter, symmetrized_coefficients)), True))
 
     # W = grad h similarity cases: exact discrete conjugates of L_s
     for tag, hfun in (("conj-cosu", lambda U, V: 0.3 * np.cos(U)),
@@ -189,12 +194,12 @@ def test_criterion_6_symmetric_comparison():
         geom = compute_geometry(
             sphere_chart(make_grid(grids.SPHERE, 32, 64), 1.0),
             idata.minkowski_flat())
-        op_s = assemble(OperatorSpec(spectra.MOTS_LS, geom))
+        op_s = operator(geom, symmetrized_coefficients)
         U, V = geom.grid.meshgrid()
         h = hfun(U, V).ravel()
         conj = spectra.OperatorMatrix(
-            n=op_s.n, weak=(sparse.diags(np.exp(-h)) @ op_s.weak
-                            @ sparse.diags(np.exp(h))).tocsr(),
+            weak=(sparse.diags(np.exp(-h)) @ op_s.weak
+                  @ sparse.diags(np.exp(h))).tocsr(),
             mass=op_s.mass, c=op_s.c, symmetric=False,
             robin_q=None, geometry=geom)
         cases.append((tag, lam(conj), lam(op_s), True))
@@ -204,8 +209,8 @@ def test_criterion_6_symmetric_comparison():
         sphere_chart(make_grid(grids.SPHERE, 32, 64), 1.0, (0.4, 0.0, 0.0)),
         idata.schwarzschild_pg(1.0))
     cases.append(("pg-offcenter",
-                  lam(assemble(OperatorSpec(spectra.MOTS_L, off))),
-                  lam(assemble(OperatorSpec(spectra.MOTS_LS, off))), False))
+                  lam(operator(off, mots_coefficients)),
+                  lam(operator(off, symmetrized_coefficients)), False))
 
     ok = True
     details = []

@@ -247,20 +247,29 @@ def test_theorem_481_report():
     assert "case (1)" in rep.notes
 
 
-def _record_solves(monkeypatch):
-    """The spec kind of each ``spectra.assemble`` call, and the kind of the
-    assembled operator of each ``principal_eigenvalue`` call, in order."""
+def _same(a, b):
+    return (a is None) == (b is None) and (a is None or np.array_equal(a, b))
+
+
+def _record_solves(monkeypatch, geom, operators):
+    """The name in ``operators`` (name -> the (c, drift, q) of an operator
+    on ``geom``) of the operator of each ``spectra.assemble`` call, and of
+    the assembled operator of each ``principal_eigenvalue`` call, in
+    order."""
     assembled, solved, ops = [], [], []
     assemble, solve = spectra.assemble, spectra.principal_eigenvalue
 
-    def recorded_assemble(spec):
-        opmat = assemble(spec)
-        assembled.append(spec.kind)
+    def recorded_assemble(geometry, c, drift=None, q=None):
+        opmat = assemble(geometry, c, drift, q)
+        assert geometry is geom
+        assembled.append(next(
+            name for name, expected in operators.items()
+            if all(_same(a, b) for a, b in zip((c, drift, q), expected))))
         ops.append(opmat)
         return opmat
 
     def recorded_solve(opmat, *args, **kwargs):
-        solved.append(next(kind for kind, op in zip(assembled, ops)
+        solved.append(next(name for name, op in zip(assembled, ops)
                            if op is opmat))
         return solve(opmat, *args, **kwargs)
 
@@ -270,10 +279,12 @@ def _record_solves(monkeypatch):
 
 
 def test_theorem_481_solves_once(monkeypatch):
-    assembled, solved = _record_solves(monkeypatch)
-    audit_theorem_481(sphere_geom(1.5, n=16))
-    assert assembled == solved == [spectra.CUSTOM_SYMMETRIC,
-                                   spectra.HSTAB_MINUS_LMINUS]
+    geom = sphere_geom(1.5, n=16)
+    assembled, solved = _record_solves(monkeypatch, geom, {
+        "Qbar potential": (surfaces.qbar_potential(geom), None, None),
+        "HStabMinusLminus": surfaces.hstab_minus_lminus_coefficients(geom)})
+    audit_theorem_481(geom)
+    assert assembled == solved == ["Qbar potential", "HStabMinusLminus"]
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +292,12 @@ def test_theorem_481_solves_once(monkeypatch):
 
 
 def test_I_sigma_solves_each_operator_once(monkeypatch):
-    assembled, solved = _record_solves(monkeypatch)
-    audit_I_sigma(disk_geom(16))
-    assert assembled == solved == [spectra.MOTS_L, spectra.MOTS_LS]
+    geom = disk_geom(16)
+    assembled, solved = _record_solves(monkeypatch, geom, {
+        "L": surfaces.mots_coefficients(geom),
+        "Ls": surfaces.symmetrized_coefficients(geom)})
+    audit_I_sigma(geom)
+    assert assembled == solved == ["L", "Ls"]
 
 
 def test_I_sigma_raises_when_L_solve_fails(monkeypatch):

@@ -163,6 +163,12 @@ def test_determinism_byte_identical(tmp_path):
     ("robin:free", "sphere:r=1", "Robin problems require disk topology"),
     ("robin:gamma=3.2", "disk:r=1",
      "gamma must lie in (0, pi) away from the endpoints by 1e-3"),
+    # only the documented words: a word that merely starts with "robin"
+    # once ran as robin:free
+    ("robin-sym", "disk:r=1", "unknown boundary condition 'robin-sym'"),
+    ("robinhood", "disk:r=1", "unknown boundary condition 'robinhood'"),
+    ("robin:", "disk:r=1", "unknown boundary condition 'robin:'"),
+    ("robin", "disk:r=1", "unknown boundary condition 'robin'"),
 ])
 def test_bc_must_match_the_surface(tmp_path, capsys, bc, surface, message):
     code, _ = run(["eigen", "--operator", "L", "--bc", bc, "--data",
@@ -170,6 +176,22 @@ def test_bc_must_match_the_surface(tmp_path, capsys, bc, surface, message):
                   tmp_path)
     assert code == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("operator, warned", [("L", True), ("Ls", False)])
+def test_q_hypothesis_warning_follows_the_drift(tmp_path, operator, warned):
+    # q = 1 > 0 on the ball-support flat disk: the warning goes with the
+    # drift of L, and the symmetric L_s carries none
+    code, out = run(["eigen", "--operator", operator, "--bc", "robin:free",
+                     "--data", "minkowski", "--surface",
+                     "disk:r=1,support=ball:r=1", "--grid", "16x32"],
+                    tmp_path)
+    assert code == 0
+    with open(out / "eigen.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert bool(row["q_hypothesis_warning"]) == warned
+    if warned:
+        assert "q > 0" in row["q_hypothesis_warning"]
 
 
 def test_graph_surface_from_file(tmp_path):

@@ -153,6 +153,45 @@ def test_every_public_function_is_referenced():
     assert list(_unreferenced()) == []
 
 
+# the records whose fields the scan below checks, by module
+RECORDS = {"surfaces.py": ("SurfaceGeometry", "BoundaryData"),
+           "spectra.py": ("OperatorMatrix", "EigenResult")}
+
+# fields that nothing in the package reads, and why each stays
+UNREAD_FIELD_EXEMPT = {
+    "SurfaceGeometry.A": "the definitional identity tests read it",
+    "SurfaceGeometry.k_S": "the definitional identity tests read it",
+    "SurfaceGeometry.chi_p": "the definitional identity tests read it",
+    "SurfaceGeometry.chihat_m": "the definitional identity tests read it",
+    "SurfaceGeometry.RicNN": "the Gauss-equation test reads it",
+    "SurfaceGeometry.R_M": "the Gauss-equation test reads it",
+    "BoundaryData.nu_chart": "tests/synthetic_fields.py recomputes W_nu",
+    "BoundaryData.cos_gamma": "the free-boundary tests read it",
+    "EigenResult.backward_error": "the trace record of ROADMAP item 1",
+}
+
+
+def _unread_fields():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    for module, classes in RECORDS.items():
+        for node in trees[module].body:
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                for field in node.body:
+                    if isinstance(field, ast.AnnAssign):
+                        name = f"{node.name}.{field.target.id}"
+                        if field.target.id not in read \
+                                and name not in UNREAD_FIELD_EXEMPT:
+                            yield name
+
+
+def test_every_record_field_is_read():
+    # a field that nothing reads is computed (or stored) for nothing
+    assert list(_unread_fields()) == []
+
+
 def test_benchmark_tracer_installs():
     # the tracer wraps module attributes by name (spectra.splu and
     # spectra.eigsh among them), so a name it wraps must stay in place

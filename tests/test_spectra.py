@@ -12,22 +12,27 @@ from motslab import grids, initialdata as idata, spectra, surfaces
 from motslab.errors import (
     IterationFailureError,
     NotAMOTSError,
+    TopologyError,
     UnsupportedOperationError,
 )
 from motslab.grids import make_grid
 from motslab.spectra import (
-    OperatorSpec,
     assemble,
     principal_eigenvalue,
-    robin_coefficient,
     stability_verdict,
 )
 from motslab.surfaces import (
+    capillary_q,
     compute_geometry,
     ellipsoid_chart,
     flat_disk_chart,
+    free_boundary_q,
+    hstab_minus_lminus_coefficients,
+    hstab_normal_coefficients,
+    mots_coefficients,
     radial_graph_chart,
     sphere_chart,
+    symmetrized_coefficients,
 )
 
 
@@ -48,6 +53,18 @@ def neumann_disk_geom(n=32):
     return compute_geometry(flat_disk_chart(grid, 1.0), idata.minkowski_flat())
 
 
+def operator(geom, coefficients):
+    """The assembled operator whose (c, drift, q) ``coefficients`` gives."""
+    return assemble(geom, *coefficients(geom))
+
+
+def with_q(geom, coefficients, q):
+    """The operator of ``coefficients`` with the Robin q in place of its
+    own."""
+    c, drift, _ = coefficients(geom)
+    return assemble(geom, c, drift, q)
+
+
 def forward_and_adjoint(op):
     """The principal eigenpair and the adjoint eigenvalue by transposed
     solves on the forward factor, for symmetric pencils too (the eigen
@@ -60,8 +77,8 @@ def forward_and_adjoint(op):
 def dirichlet_energy(geom):
     """The assembled stiffness of -Laplace (c = 0; on the disk, Robin with
     the free boundary q)."""
-    return assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
-                                 c_field=np.zeros(geom.grid.shape))).weak
+    return assemble(geom, np.zeros(geom.grid.shape),
+                    q=free_boundary_q(geom)).weak
 
 
 def lowest_eigenvalues(op, count):
@@ -70,7 +87,8 @@ def lowest_eigenvalues(op, count):
     principal solve's first shift, which lies below the spectrum."""
     return np.sort(eigsh(op.weak, k=count, M=sparse.diags(op.mass),
                          sigma=-spectra._shift(op), which="LM",
-                         v0=np.ones(op.n), rng=0, return_eigenvectors=False))
+                         v0=np.ones(op.mass.size), rng=0,
+                         return_eigenvectors=False))
 
 
 def test_row_sums_vanish_on_constants():
@@ -132,8 +150,7 @@ def test_laplace_spectrum_second_order():
     errors = []
     for n in (32, 64):
         geom = unit_sphere_geom(n)
-        op = assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
-                                   c_field=np.zeros(geom.grid.shape)))
+        op = assemble(geom, np.zeros(geom.grid.shape))
         vals = lowest_eigenvalues(op, 9)
         errors.append((np.max(np.abs(vals[1:4] - 2.0)),
                        np.max(np.abs(vals[4:9] - 6.0))))
@@ -216,8 +233,7 @@ def test_direct_fill_matches_sparse_products(topology, n_u, coeffs):
 def test_symmetry_of_mots_ls():
     for geom in (unit_sphere_geom(16, idata.hyperboloidal_flat()),
                  neumann_disk_geom(16)):
-        op = assemble(OperatorSpec(spectra.MOTS_LS, geom,
-                                   q_source=spectra.Q_SYMMETRIZED))
+        op = operator(geom, symmetrized_coefficients)
         gap = sparse.linalg.norm(op.weak - op.weak.T, np.inf)
         scale = sparse.linalg.norm(op.weak, np.inf)
         assert gap < 1e-10 * scale
@@ -226,8 +242,8 @@ def test_symmetry_of_mots_ls():
 def test_mots_l_equals_ls_when_w_vanishes():
     geom = horizon_geom(32)
     assert np.max(np.abs(geom.W_cov)) < 1e-12
-    op_l = assemble(OperatorSpec(spectra.MOTS_L, geom))
-    op_ls = assemble(OperatorSpec(spectra.MOTS_LS, geom))
+    op_l = operator(geom, mots_coefficients)
+    op_ls = operator(geom, symmetrized_coefficients)
     diff = sparse.linalg.norm(op_l.weak - op_ls.weak, np.inf)
     assert diff < 1e-12 * sparse.linalg.norm(op_ls.weak, np.inf)
 
@@ -240,8 +256,7 @@ def test_horizon_potential_reduces_to_curvature():
 
 def test_neumann_disk_principal_eigenvalue_zero():
     geom = neumann_disk_geom(32)
-    op = assemble(OperatorSpec(spectra.MOTS_LS, geom,
-                               q_source=spectra.Q_FREE))
+    op = with_q(geom, symmetrized_coefficients, free_boundary_q(geom))
     assert op.robin_q is not None and np.max(np.abs(op.robin_q)) < 1e-12
     res, adjoint = forward_and_adjoint(op)
     assert abs(res.lambda1) < 1e-8
@@ -254,7 +269,7 @@ def test_neumann_disk_principal_eigenvalue_zero():
 def test_horizon_eigenvalue_quarter():
     geom = horizon_geom(64)
     res, adjoint = forward_and_adjoint(
-        assemble(OperatorSpec(spectra.MOTS_LS, geom)))
+        operator(geom, symmetrized_coefficients))
     assert abs(res.lambda1 - 0.25) < 0.01 * 0.25
     assert res.positive
     assert abs(adjoint - res.lambda1) < 1e-7
@@ -263,8 +278,7 @@ def test_horizon_eigenvalue_quarter():
 
 def test_round_sphere_low_spectrum():
     geom = unit_sphere_geom(32)
-    op = assemble(OperatorSpec(spectra.CUSTOM_SYMMETRIC, geom,
-                               c_field=np.zeros(geom.grid.shape)))
+    op = assemble(geom, np.zeros(geom.grid.shape))
     vals = lowest_eigenvalues(op, 4)
     assert abs(vals[0]) < 1e-8
     assert np.max(np.abs(vals[1:] - 2.0)) < 0.02
@@ -275,14 +289,14 @@ def test_gauge_similarity_conjugated_operator():
     # consistent discretization of the operator with W = grad h) computed
     # through the non-self-adjoint Arnoldi solve equals lambda_1(L_s).
     geom = unit_sphere_geom(32)
-    op_s = assemble(OperatorSpec(spectra.MOTS_LS, geom))
+    op_s = operator(geom, symmetrized_coefficients)
     res_s = principal_eigenvalue(op_s)
     U, _ = geom.grid.meshgrid()
     h = 0.3 * np.cos(U).ravel()
     lam = sparse.diags(np.exp(h))
     lam_inv = sparse.diags(np.exp(-h))
     conj = spectra.OperatorMatrix(
-        n=op_s.n, weak=(lam_inv @ op_s.weak @ lam).tocsr(),
+        weak=(lam_inv @ op_s.weak @ lam).tocsr(),
         mass=op_s.mass, c=op_s.c, symmetric=False,
         robin_q=None, geometry=geom)
     res_c = principal_eigenvalue(conj)
@@ -299,8 +313,8 @@ def test_formula_assembled_gradient_drift_consistency():
     w_cov = np.stack([grids.d_u(geom.grid, h, 1.0),
                       grids.d_v(geom.grid, h)])
     synth = with_overrides(geom, W_cov=w_cov)
-    res_w = principal_eigenvalue(assemble(OperatorSpec(spectra.MOTS_L, synth)))
-    res_s = principal_eigenvalue(assemble(OperatorSpec(spectra.MOTS_LS, geom)))
+    res_w = principal_eigenvalue(operator(synth, mots_coefficients))
+    res_s = principal_eigenvalue(operator(geom, symmetrized_coefficients))
     assert abs(res_w.lambda1 - res_s.lambda1) < 5e-3
     assert res_w.positive
 
@@ -310,7 +324,7 @@ def test_lambda1_refinement_invariance():
     lams = {}
     for n in (32, 64, 128):
         lams[n] = principal_eigenvalue(
-            assemble(OperatorSpec(spectra.MOTS_LS, horizon_geom(n)))).lambda1
+            operator(horizon_geom(n), symmetrized_coefficients)).lambda1
     rich1 = (4.0 * lams[64] - lams[32]) / 3.0
     rich2 = (4.0 * lams[128] - lams[64]) / 3.0
     assert abs(rich1 - rich2) < 5e-3 * abs(rich2)
@@ -332,7 +346,7 @@ def test_stability_verdict_cases():
 
 def test_robin_capillary_coefficient_and_guards():
     geom = neumann_disk_geom(16)
-    q_free = robin_coefficient(geom, spectra.Q_FREE)
+    q_free = free_boundary_q(geom)
     assert np.max(np.abs(q_free)) < 1e-12
     # capillary coefficient at gamma = pi/2 reduces to Pi(nubar, nubar)
     # with nubar = -N, which for the cylinder support is the (negative
@@ -341,19 +355,26 @@ def test_robin_capillary_coefficient_and_guards():
         flat_disk_chart(make_grid(grids.DISK, 16, 32), 1.0,
                         support=surfaces.BallSupport(1.0)),
         idata.minkowski_flat())
-    q_cap = robin_coefficient(ball, spectra.Q_CAPILLARY, gamma=np.pi / 2)
+    q_cap = capillary_q(ball, np.pi / 2)
     assert np.max(np.abs(q_cap - ball.boundary.Pi_NN)) < 1e-10
     with pytest.raises(ValueError):
-        robin_coefficient(ball, spectra.Q_CAPILLARY, gamma=None)
+        capillary_q(ball, np.pi)
+    # the Robin q comes with a boundary and only with one
+    with pytest.raises(TopologyError):
+        assemble(ball, np.zeros(ball.grid.shape))
+    sphere = unit_sphere_geom(16)
+    with pytest.raises(TopologyError):
+        assemble(sphere, np.zeros(sphere.grid.shape),
+                 q=np.zeros(sphere.grid.n_v))
 
 
 def test_hstab_operators_assemble():
     geom = unit_sphere_geom(32, idata.hyperboloidal_flat(), r=0.5)
     # H = 4 > |P| = 2: normal-direction H-stability operator is defined
-    res = principal_eigenvalue(assemble(OperatorSpec(spectra.HSTAB_NORMAL, geom)))
+    res = principal_eigenvalue(operator(geom, hstab_normal_coefficients))
     assert np.isfinite(res.lambda1)
     res2 = principal_eigenvalue(
-        assemble(OperatorSpec(spectra.HSTAB_MINUS_LMINUS, geom)))
+        operator(geom, hstab_minus_lminus_coefficients))
     # c-field is the exact constant Qbar = -2/r^2 = -8 on this sphere
     assert np.max(np.abs(res2.eigenfunction - 1.0)) < 1e-6
     assert abs(res2.lambda1 + 8.0) < 1e-6
@@ -365,7 +386,7 @@ def test_hstab_operators_assemble():
         from dataclasses import replace
         chart = replace(flat.chart, flip_normal=True)
         geom_in = compute_geometry(chart, idata.minkowski_flat())
-        assemble(OperatorSpec(spectra.HSTAB_NORMAL, geom_in))
+        operator(geom_in, hstab_normal_coefficients)
 
 
 def test_stability_verdict_manufactured_gradient_w():
@@ -389,8 +410,7 @@ def test_positive_robin_q_warning_recorded():
         flat_disk_chart(make_grid(grids.DISK, 16, 32), 1.0,
                         support=BallSupport(1.0)),
         idata.minkowski_flat())
-    op = assemble(OperatorSpec(spectra.MOTS_L, ball,
-                               q_source=spectra.Q_FREE))
+    op = operator(ball, mots_coefficients)
     assert any("q > 0" in w for w in op.warnings)
     res = principal_eigenvalue(op)
     assert any("q > 0" in w for w in res.warnings)
@@ -414,11 +434,10 @@ def test_capillary_robin_bessel_oracle():
         flat_disk_chart(make_grid(grids.DISK, 64, 128), 1.0,
                         support=BallSupport(1.0)),
         idata.minkowski_flat())
-    qfield = robin_coefficient(geom, spectra.Q_CAPILLARY, gamma=gamma)
+    qfield = capillary_q(geom, gamma)
     assert np.max(np.abs(qfield - q)) < 1e-12
-    res, adjoint = forward_and_adjoint(assemble(OperatorSpec(
-        spectra.MOTS_L, geom,
-        q_source=spectra.Q_CAPILLARY, gamma=gamma)))
+    res, adjoint = forward_and_adjoint(
+        with_q(geom, mots_coefficients, qfield))
     assert abs(res.lambda1 + k * k) < 1.5e-3
     assert res.positive and abs(adjoint - res.lambda1) < 1e-7
 
@@ -446,36 +465,37 @@ def disk_geom(n, support):
         idata.minkowski_flat())
 
 
-def _oracle_specs():
+def _oracle_operators():
+    """Name -> a function that assembles the case's operator."""
     near = pg_sphere_geom(16, 1.0, (0.4, 0.0, 0.0))
     far = pg_sphere_geom(16, 4.1, (0.45, 0.0, 0.0))
     cylinder = disk_geom(16, surfaces.CylinderSupport(1.0))
     ball = disk_geom(16, surfaces.BallSupport(1.0))
     return {
-        "PG L": OperatorSpec(spectra.MOTS_L, near),
-        "PG Ls": OperatorSpec(spectra.MOTS_LS, near),
-        "PG HStabNormal": OperatorSpec(spectra.HSTAB_NORMAL, near),
-        "PG HStabMinusLminus": OperatorSpec(spectra.HSTAB_MINUS_LMINUS, near),
-        "PG r=4.1 HStabNormal": OperatorSpec(spectra.HSTAB_NORMAL, far),
-        "PG r=4.1 HStabMinusLminus": OperatorSpec(
-            spectra.HSTAB_MINUS_LMINUS, far),
-        "Robin free disk": spectra.mots_spec(cylinder, spectra.MOTS_L),
-        "q > 0 ball disk": OperatorSpec(spectra.MOTS_L, ball,
-                                        q_source=spectra.Q_FREE),
-        "capillary disk": OperatorSpec(spectra.MOTS_L, ball,
-                                       q_source=spectra.Q_CAPILLARY,
-                                       gamma=1.2),
+        "PG L": lambda: operator(near, mots_coefficients),
+        "PG Ls": lambda: operator(near, symmetrized_coefficients),
+        "PG HStabNormal": lambda: operator(near, hstab_normal_coefficients),
+        "PG HStabMinusLminus": lambda: operator(
+            near, hstab_minus_lminus_coefficients),
+        "PG r=4.1 HStabNormal": lambda: operator(far,
+                                                 hstab_normal_coefficients),
+        "PG r=4.1 HStabMinusLminus": lambda: operator(
+            far, hstab_minus_lminus_coefficients),
+        "Robin free disk": lambda: operator(cylinder, mots_coefficients),
+        "q > 0 ball disk": lambda: operator(ball, mots_coefficients),
+        "capillary disk": lambda: with_q(ball, mots_coefficients,
+                                         capillary_q(ball, 1.2)),
     }
 
 
-@pytest.mark.parametrize("name", list(_oracle_specs()))
+@pytest.mark.parametrize("name", list(_oracle_operators()))
 def test_principal_eigenvalue_dense_oracle(name):
     # lambda_1 is the eigenvalue of smallest real part of the dense pencil
     # (K, M), its eigenfunction is one-signed, and the eigenpair meets the
     # backward-error gate; the adjoint eigenvalue is the same number.
     from scipy.linalg import eig
 
-    op = assemble(_oracle_specs()[name])
+    op = _oracle_operators()[name]()
     dense = eig(op.weak.toarray(), np.diag(op.mass), right=False)
     ref = dense[np.argmin(dense.real)]
     assert abs(ref.imag) <= 1e-12 * max(1.0, abs(ref))
@@ -491,16 +511,16 @@ def test_principal_eigenvalue_dense_oracle(name):
 def test_offcentre_ls_converges_on_the_residual():
     # The symmetric operator on the off-centre PG sphere once stopped on a
     # stalled Rayleigh ratio with a residual of 4e-6 (backward error 5e-10).
-    op = assemble(OperatorSpec(spectra.MOTS_LS,
-                               pg_sphere_geom(32, 1.0, (0.4, 0.0, 0.0))))
+    op = operator(pg_sphere_geom(32, 1.0, (0.4, 0.0, 0.0)),
+                  symmetrized_coefficients)
     res = principal_eigenvalue(op)
     assert backward_error(op, res.lambda1, res.eigenfunction.ravel()) <= 1e-12
     assert res.residual <= 1e-8
 
 
 def test_principal_eigenvalue_gate_raises(monkeypatch):
-    op = assemble(OperatorSpec(spectra.MOTS_L,
-                               pg_sphere_geom(16, 1.0, (0.4, 0.0, 0.0))))
+    op = operator(pg_sphere_geom(16, 1.0, (0.4, 0.0, 0.0)),
+                  mots_coefficients)
     monkeypatch.setattr(spectra, "_BACKWARD_TOL", 1e-20)
     with pytest.raises(IterationFailureError):
         principal_eigenvalue(op)
@@ -516,7 +536,7 @@ def test_constant_eigenfunction_skips_the_factorization(monkeypatch):
     monkeypatch.setattr(spectra, "splu", no_factor)
     for geom in (horizon_geom(32),
                  disk_geom(16, surfaces.CylinderSupport(1.0))):
-        res = principal_eigenvalue(assemble(spectra.mots_spec(geom)))
+        res = principal_eigenvalue(operator(geom, mots_coefficients))
         assert res.iterations == 0
         assert np.all(res.eigenfunction == 1.0)
 
@@ -534,13 +554,13 @@ def test_factor_input_has_the_grid_pattern():
     flat = disk_geom(n, surfaces.CylinderSupport(1.0))
     U, _ = flat.grid.meshgrid()
     drift = np.stack([0.3 * U, np.zeros_like(U)])
-    sphere_ops = [assemble(OperatorSpec(spectra.MOTS_LS, ellipsoid)),
-                  assemble(OperatorSpec(spectra.MOTS_LS, unit_sphere_geom(n))),
-                  assemble(OperatorSpec(spectra.MOTS_L, pg_sphere_geom(
-                      n, 1.0, (0.4, 0.0, 0.0))))]
-    disk_ops = [assemble(spectra.mots_spec(flat)),
-                assemble(spectra.mots_spec(twisted_disk_geom(n))),
-                assemble(spectra.mots_spec(with_overrides(flat, W_cov=drift)))]
+    sphere_ops = [operator(ellipsoid, symmetrized_coefficients),
+                  operator(unit_sphere_geom(n), symmetrized_coefficients),
+                  operator(pg_sphere_geom(n, 1.0, (0.4, 0.0, 0.0)),
+                           mots_coefficients)]
+    disk_ops = [operator(flat, mots_coefficients),
+                operator(twisted_disk_geom(n), mots_coefficients),
+                operator(with_overrides(flat, W_cov=drift), mots_coefficients)]
     n_nodes, n_v = ellipsoid.grid.n_nodes, ellipsoid.grid.n_v
     for ops, expected in ((sphere_ops, 9 * n_nodes),
                           (disk_ops, 9 * n_nodes - 2 * n_v)):
@@ -560,10 +580,9 @@ def test_one_signed_check_with_positive_robin_q():
 
     k = brentq(lambda s: s * i1(s) - i0(s), 0.3, 3.0)
     ball = disk_geom(32, surfaces.BallSupport(1.0))
-    q = robin_coefficient(ball, spectra.Q_FREE)
+    q = free_boundary_q(ball)
     assert np.max(np.abs(q - 1.0)) < 1e-12
-    op = assemble(OperatorSpec(spectra.MOTS_L, ball,
-                               q_source=spectra.Q_FREE))
+    op = operator(ball, mots_coefficients)
     lam, vec, _, delta = spectra._principal(
         op.weak, op.mass, lambda d: spectra._factor(op, d), "N", 1.0)
     assert delta > 1.0
@@ -590,8 +609,7 @@ def test_positive_robin_q_shift_factors_once(monkeypatch):
     # the ball-support disk (q = 1) needs no second shift and no second LU
     calls = count_factors(monkeypatch)
     ball = disk_geom(32, surfaces.BallSupport(1.0))
-    res = principal_eigenvalue(assemble(OperatorSpec(
-        spectra.MOTS_L, ball, q_source=spectra.Q_FREE)))
+    res = principal_eigenvalue(operator(ball, mots_coefficients))
     assert res.positive
     assert len(calls) == 1
 
@@ -605,9 +623,10 @@ def test_scale_aware_shift_needs_fewer_applications():
         sphere_chart(make_grid(grids.SPHERE, 32, 64), 2.0, (0.8, 0.0, 0.0)),
         idata.schwarzschild_pg(2.0))
     far = pg_sphere_geom(32, 4.1, (0.45, 0.0, 0.0))
-    for spec, scaled, unit in ((OperatorSpec(spectra.HSTAB_NORMAL, far), 10, 22),
-                               (OperatorSpec(spectra.MOTS_L, heavy), 13, 16)):
-        op = assemble(spec)
+    for geom, coefficients, scaled, unit in (
+            (far, hstab_normal_coefficients, 10, 22),
+            (heavy, mots_coefficients, 13, 16)):
+        op = operator(geom, coefficients)
         res = principal_eigenvalue(op)
         lam, _, applications, _ = spectra._principal(
             op.weak, op.mass, spectra.factors(op), "N",
@@ -619,8 +638,8 @@ def test_scale_aware_shift_needs_fewer_applications():
 def test_minimum_degree_factor_fill():
     # minimum degree on the symmetric stencil pattern: 631k entries in
     # L + U at 64x128, against 1.16M for the column ordering COLAMD
-    op = assemble(OperatorSpec(spectra.MOTS_L,
-                               pg_sphere_geom(64, 1.0, (0.4, 0.0, 0.0))))
+    op = operator(pg_sphere_geom(64, 1.0, (0.4, 0.0, 0.0)),
+                  mots_coefficients)
     assert spectra._factor(op, spectra._shift(op)).nnz <= 700_000
 
 
@@ -634,8 +653,7 @@ def test_symmetric_spectrum_agrees_with_principal_eigenvalue():
     far = pg_sphere_geom(32, 4.1, (0.45, 0.0, 0.0))
     pot = (far.K + far.theta_p / (2.0 * far.theta_m) * far.chihat_m2
            - audits.compute_G_quantity(far))
-    for spec in (OperatorSpec(spectra.MOTS_LS, near),
-                 OperatorSpec(spectra.CUSTOM_SYMMETRIC, far, c_field=pot)):
-        op = assemble(spec)
+    for op in (operator(near, symmetrized_coefficients),
+               assemble(far, pot)):
         lam = principal_eigenvalue(op).lambda1
         assert abs(lowest_eigenvalues(op, 1)[0] - lam) <= 1e-12 * abs(lam)

@@ -119,7 +119,6 @@ def test_surface_fields_are_component_major(chart):
                    for name, shape in (("points", (3,) + n_v),
                                        ("nu", (3,) + n_v),
                                        ("normal", (3,) + n_v),
-                                       ("nbar", (3,) + n_v),
                                        ("nu_chart", (2,) + n_v),
                                        ("shape_op", (3, 3) + n_v))]
     for name, field, shape in fields:
@@ -348,11 +347,13 @@ def test_variation_oracle_minus_lminus_hyperboloidal():
     # (3/4 theta- theta+, |chihat_-|^2), agrees identically in two
     # dimensions
     g = compute_geometry(chart, data)
+    chi_m = g.k_S - g.A
+    chi_m2 = surfaces._sym2_dot(g.metric, chi_m, chi_m)
     lemma = (0.5 * g.R_S - 0.5 * g.G_lplm
-             + g.theta_p / (2.0 * g.theta_m) * (g.chi_m2 + g.G_lmlm)
+             + g.theta_p / (2.0 * g.theta_m) * (chi_m2 + g.G_lmlm)
              + 0.5 * g.theta_m * g.theta_p)
     lemma_formula = -2.0 * g.theta_m * surfaces._strong_form(
-        g, (g.divW - g.W2 + lemma, g.W_cov), np.ones(g.grid.shape))
+        g, (g.divW - g.W2 + lemma, g.W_cov, None), np.ones(g.grid.shape))
     assert np.max(np.abs(formula - lemma_formula)) < 1e-11
 
 

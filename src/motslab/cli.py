@@ -10,6 +10,10 @@ with the same configuration and seed reproduces byte-identical files.
 ``sweep`` runs the surface, eigen or audit command once per step, on a
 copy of the configuration with one spec parameter patched.
 
+The spectra and audits layers, and scipy with them, are imported by the
+commands that run them, so ``catalog``, ``constraints`` and ``surface``
+start on numpy alone.
+
 Exit codes: 0 all verdicts hold, 1 some inequality violated, 2 some
 hypothesis unmet or audit not applicable, 3 numerical failure or invalid
 input. Across a multi-step run the precedence is 3 > 2 > 1 > 0.
@@ -24,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import audits, grids, initialdata as idata, spectra, surfaces
+from . import grids, initialdata as idata, surfaces
 from .errors import InvalidInputError, MotslabError, TopologyError
 
 EXIT_OK = 0
@@ -43,17 +47,32 @@ def _fmt(x):
     return str(x)
 
 
+class _NodeValues(NamedTuple):
+    """One float per grid node, written as (u, v, value) rows in node
+    order."""
+    grid: grids.Grid2
+    values: np.ndarray
+
+    def text(self):
+        """The rows as ``_fmt`` writes them. The u and v columns take only
+        n_u + n_v distinct values: each is formatted once, into a template
+        that formats every value in one ``%`` operation."""
+        us = ["%.17g," % u for u in self.grid.u.tolist()]
+        vs = ["%.17g,%%.17g\n" % v for v in self.grid.v.tolist()]
+        template = "".join([u + v for u in us for v in vs])
+        return template % tuple(self.values.ravel().tolist())
+
+
 def _write_csv(path, header, rows):
     """Write a CSV file; a field holding a comma (a spec such as
-    ``sphere:r=2,cx=0.1``) is quoted. ``rows`` given as a 2-D float array
-    is formatted in one string operation, to the same bytes."""
+    ``sphere:r=2,cx=0.1``) is quoted. ``rows`` is a list of rows or a
+    ``_NodeValues``."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            fh.write((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+        if isinstance(rows, _NodeValues):
+            fh.write(rows.text())
         else:
             writer.writerows([_fmt(v) for v in row] for row in rows)
     os.replace(tmp, path)
@@ -161,12 +180,19 @@ def resolve_bc(text):
     if text in _ROBIN_Q:
         return _ROBIN_Q[text]
     if text.startswith("robin:gamma="):
-        gamma = float(text[len("robin:gamma="):])
+        angle = text[len("robin:gamma="):]
+        try:
+            gamma = float(angle)
+        except ValueError:
+            raise ValueError(f"--bc {text!r}: the contact angle {angle!r} "
+                             "is not a number") from None
         return lambda geom: surfaces.capillary_q(geom, gamma)
     raise ValueError(f"unknown boundary condition {text!r}")
 
 
 def _verdict_code(verdict):
+    from . import audits
+
     if verdict == audits.HOLDS:
         return EXIT_OK
     if verdict == audits.VIOLATED:
@@ -292,8 +318,11 @@ _EIGEN_HEADER = ["data", "surface", "grid", "operator", "bc", "lambda1",
 
 
 def run_eigen(cfg):
+    from . import spectra
+
     _, geom = _geometry(cfg)
-    q_of = resolve_bc(cfg.bc)
+    bc = cfg.bc.strip()
+    q_of = resolve_bc(bc)
     if (q_of is None) != (geom.grid.topology == grids.SPHERE):
         raise TopologyError("closed problems require sphere topology"
                             if q_of is None else
@@ -308,16 +337,14 @@ def run_eigen(cfg):
     result = spectra.principal_eigenvalue(opmat, factor)
     adjoint = result.lambda1 if opmat.symmetric else \
         spectra.adjoint_eigenvalue(opmat, factor, result.shift)
-    row = [cfg.data, cfg.surface, cfg.grid, cfg.operator, cfg.bc,
+    row = [cfg.data, cfg.surface, cfg.grid, cfg.operator, bc,
            result.lambda1, result.residual, result.iterations,
            result.positive, adjoint, "; ".join(result.warnings)]
-    U, V = geom.grid.meshgrid()
-    nodes = np.column_stack([U.ravel(), V.ravel(),
-                             result.eigenfunction.ravel()])
+    nodes = _NodeValues(geom.grid, result.eigenfunction)
     return _Run(row, EXIT_OK,
                 {"eigen.csv": (_EIGEN_HEADER, [row]),
                  "eigenfunction.csv": (["u", "v", "phi"], nodes)},
-                f"[eigen] {cfg.operator} ({cfg.bc}): "
+                f"[eigen] {cfg.operator} ({bc}): "
                 f"lambda1={result.lambda1!r} "
                 f"residual={result.residual:.2e} iters={result.iterations} "
                 f"positive={result.positive} "
@@ -329,6 +356,8 @@ def cmd_eigen(cfg):
 
 
 def _audit_report(cfg):
+    from . import audits
+
     tid = cfg.theorem
     if tid == "index":
         return audits.audit_index_bounds(cfg.genus, cfg.boundary, cfg.index,
@@ -398,6 +427,8 @@ def run_audit(cfg):
 
 
 def run_collar(cfg):
+    from . import audits
+
     data, geom = _geometry(cfg)
     value = audits.collar_infimum(data, geom, cfg.zeta,
                                   which=cfg.collar_field)
@@ -503,10 +534,10 @@ def build_parser():
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--theta-tol", type=_finite_float,
-                        default=spectra.THETA_TOL,
+                        default=surfaces.THETA_TOL,
                         help="MOTS tolerance for audits")
     parser.add_argument("--stab-tol", type=_finite_float,
-                        default=spectra.STAB_TOL,
+                        default=surfaces.STAB_TOL,
                         help="stability tolerance for audits")
     parser.add_argument("--out", default=os.environ.get("MOTSLAB_OUT", "."))
     parser.add_argument("--workers", type=int, default=1)

@@ -15,8 +15,6 @@ disk boundary ring one-sided second-order stencils are used.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import (
     DegenerateMetricError,
@@ -449,67 +447,3 @@ def boundary_geodesic_curvature(metric):
     gamma_u_vv = 0.5 * (iuu * (2.0 * dguv_v - dgvv_u) + iuv * dgvv_v)
     return -gamma_u_vv / (metric.gvv[-1] * np.sqrt(iuu))
 
-
-def _edge_graph(metric):
-    """Sparse graph of 8-neighbor metric edge lengths on the grid."""
-    g = metric.grid
-    n_u, n_v = g.n_u, g.n_v
-    ids = np.arange(g.n_nodes).reshape(n_u, n_v)
-    rows, cols, lengths = [], [], []
-
-    def add_edges(di, dj):
-        i_src = np.arange(0, n_u - di)
-        i_dst = i_src + di
-        src = ids[i_src]
-        dst = np.roll(ids[i_dst], -dj, axis=1)
-        guu_m = 0.5 * (metric.guu.reshape(-1)[src] + metric.guu.reshape(-1)[dst])
-        guv_m = 0.5 * (metric.guv.reshape(-1)[src] + metric.guv.reshape(-1)[dst])
-        gvv_m = 0.5 * (metric.gvv.reshape(-1)[src] + metric.gvv.reshape(-1)[dst])
-        su = di * g.du
-        sv = dj * g.dv
-        ell = np.sqrt(np.maximum(guu_m * su * su + 2.0 * guv_m * su * sv
-                                 + gvv_m * sv * sv, 0.0))
-        rows.append(src.ravel())
-        cols.append(dst.ravel())
-        lengths.append(ell.ravel())
-
-    for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1)):
-        add_edges(di, dj)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    lengths = np.concatenate(lengths)
-    n = g.n_nodes
-    return csr_matrix((lengths, (rows, cols)), shape=(n, n))
-
-
-def _diameter_sources(grid):
-    """Deterministic source sample: polar rings plus a global stride."""
-    n_v = grid.n_v
-    step = max(1, n_v // 8)
-    first = grid.node_id(0, 0) + np.arange(0, n_v, step)
-    last = grid.node_id(grid.n_u - 1, 0) + np.arange(0, n_v, step)
-    stride = max(1, grid.n_nodes // 16)
-    spread = np.arange(0, grid.n_nodes, stride)
-    return np.unique(np.concatenate([first, last, spread]))
-
-
-def intrinsic_diameter(metric):
-    """Intrinsic diameter estimate from Dijkstra on the 8-neighbor edge graph.
-
-    The graph metric overestimates geodesic distances by at most the grid
-    anisotropy factor and underestimates the diameter by O(h) because no
-    node sits exactly at the poles; both effects stay within a few percent
-    at production resolutions.
-    """
-    graph = _edge_graph(metric)
-    sources = _diameter_sources(metric.grid)
-    dist = _csgraph_dijkstra(graph, directed=False, indices=sources)
-    finite = dist[np.isfinite(dist)]
-    return float(finite.max())
-
-
-def ball_profile(metric, source_node):
-    """Geodesic distances from one node, for metric-ball areas and integrals."""
-    graph = _edge_graph(metric)
-    dist = _csgraph_dijkstra(graph, directed=False, indices=[source_node])[0]
-    return dist

@@ -55,10 +55,6 @@ from scipy.sparse.linalg import eigsh  # noqa: F401
 from . import grids, surfaces
 from .errors import IterationFailureError, NotAMOTSError, TopologyError
 
-# max |theta_+| of a MOTS, and the most negative lambda_1 counted as stable
-THETA_TOL = 1e-6
-STAB_TOL = 1e-8
-
 
 @dataclass
 class OperatorMatrix:
@@ -458,8 +454,8 @@ def stability_verdict(geometry):
     full operator, stable when it is at least -STAB_TOL, and the symmetric
     comparison lambda_1(L) <= lambda_1(L_s) when q <= 0."""
     max_tp = float(np.max(np.abs(geometry.theta_p)))
-    if max_tp >= THETA_TOL:
-        raise NotAMOTSError(max_tp, THETA_TOL)
+    if max_tp >= surfaces.THETA_TOL:
+        raise NotAMOTSError(max_tp, surfaces.THETA_TOL)
     op_L = assemble(geometry, *surfaces.mots_coefficients(geometry))
     q_max = None if op_L.robin_q is None else float(np.max(op_L.robin_q))
     res_L = principal_eigenvalue(op_L)
@@ -471,7 +467,7 @@ def stability_verdict(geometry):
     return StabilityVerdict(
         lambda1_L=res_L.lambda1,
         lambda1_Ls=res_Ls.lambda1,
-        stable=bool(res_L.lambda1 >= -STAB_TOL),
+        stable=bool(res_L.lambda1 >= -surfaces.STAB_TOL),
         comparison_ok=comparison,
         max_theta_plus=max_tp,
         q_max=q_max)

@@ -47,6 +47,10 @@ from .grids import (
     integrate,
 )
 
+# max |theta_+| of a MOTS, and the most negative lambda_1 counted as stable
+THETA_TOL = 1e-6
+STAB_TOL = 1e-8
+
 # ---------------------------------------------------------------------------
 # supporting boundary hypersurfaces (analytic level sets)
 

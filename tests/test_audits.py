@@ -23,6 +23,7 @@ from motslab.audits import (
     audit_theorem_481,
     collar_infimum,
     compute_G_quantity,
+    intrinsic_diameter,
 )
 from motslab.errors import DomainError, TopologyError, UnsupportedOperationError
 from motslab.grids import make_grid
@@ -403,6 +404,22 @@ def test_diameter_cap_hausdorff_cross_check():
     rep = audit_diameter(injected(cap, 0.1, h_dm=0.1))
     assert abs(rep.extras["hausdorff_2"] - 2.0 * np.pi) < 0.01 * 2.0 * np.pi
     assert abs(rep.extras["hausdorff_1"] - 2.0 * np.pi) < 0.01 * 2.0 * np.pi
+
+
+def test_intrinsic_diameter_disk_and_sphere():
+    # closed-form metrics: the flat unit disk du^2 + u^2 dv^2, and the
+    # round sphere of radius r, r^2 (du^2 + sin^2 u dv^2)
+    d = make_grid(grids.DISK, 48, 96)
+    U, _ = d.meshgrid()
+    flat_disk = grids.Metric2Field(d, np.ones(d.shape), np.zeros(d.shape),
+                                   U**2)
+    assert abs(intrinsic_diameter(flat_disk) - 2.0) < 0.03 * 2.0
+    g = make_grid(grids.SPHERE, 48, 96)
+    r = 1.5
+    U, _ = g.meshgrid()
+    sphere = grids.Metric2Field(g, np.full(g.shape, r * r), np.zeros(g.shape),
+                                (r * np.sin(U)) ** 2)
+    assert abs(intrinsic_diameter(sphere) - np.pi * r) < 0.03 * np.pi * r
 
 
 # ---------------------------------------------------------------------------

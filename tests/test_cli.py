@@ -3,18 +3,65 @@
 import csv
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from motslab import cli, spectra
+from motslab import cli, grids, spectra
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args, tmp_path, sub="run"):
     out = tmp_path / sub
     return cli.main(args + ["--out", str(out)]), out
+
+
+def run_fresh(args, out, then="", first=""):
+    """Run the CLI in a new interpreter, with the statements ``first``
+    before it and ``then`` after it; the process exits with the CLI's
+    code."""
+    script = ("import sys\n" + first + "\nfrom motslab import cli\n"
+              "code = cli.main(sys.argv[1:])\n" + then
+              + "\nsys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", script, *args,
+                           "--out", str(out)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_surface_runs_without_scipy(tmp_path):
+    # the surface command's geometry is numpy alone
+    proc = run_fresh(["surface", "--data", "schwarzschild-pg:m=1",
+                      "--surface", "sphere:r=1,cx=0.4", "--grid", "32x64"],
+                     tmp_path, "assert 'scipy' not in sys.modules, "
+                     "sorted(m for m in sys.modules if 'scipy' in m)")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "surface.csv").exists()
+
+
+def test_sweep_first_import_race_byte_identical(tmp_path):
+    # in a fresh process the workers import spectra (and scipy) for the
+    # first time at once; a short switch interval interleaves them finely
+    args = ["sweep", "--sweep-command", "eigen", "--sweep-param", "surface:r",
+            "--sweep-from", "0.8", "--sweep-to", "1.2", "--sweep-steps", "4",
+            "--operator", "L", "--data", "schwarzschild-pg:m=1",
+            "--surface", "sphere:r=1.0,cx=0.2", "--grid", "16x32"]
+    outs = []
+    for workers in ("1", "4"):
+        out = tmp_path / f"workers{workers}"
+        proc = run_fresh(args + ["--workers", workers], out,
+                         first="sys.setswitchinterval(1e-6)")
+        assert proc.returncode == 0, proc.stderr
+        outs.append((out / "sweep.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_catalog(tmp_path, capsys):
@@ -178,6 +225,31 @@ def test_bc_must_match_the_surface(tmp_path, capsys, bc, surface, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_bc_angle_that_is_not_a_number_names_the_flag(tmp_path, capsys):
+    code, _ = run(["eigen", "--operator", "L", "--bc", "robin:gamma=x",
+                   "--data", "minkowski", "--surface", "disk:r=1",
+                   "--grid", "16x32"], tmp_path)
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: --bc 'robin:gamma=x': the contact angle 'x' is not a "
+        "number\n")
+
+
+def test_bc_word_is_written_stripped(tmp_path, capsys):
+    # the spaces around a --bc word change neither the run nor its bytes
+    outputs = []
+    for sub, bc in (("plain", "robin:sym"), ("spaced", " robin:sym ")):
+        code, out = run(["eigen", "--operator", "L", "--bc", bc,
+                         "--data", "minkowski", "--surface", "disk:r=1",
+                         "--grid", "16x32"], tmp_path, sub)
+        assert code == 0
+        outputs.append(((out / "eigen.csv").read_bytes(),
+                        (out / "eigenfunction.csv").read_bytes(),
+                        capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert b",robin:sym," in outputs[0][0]
+
+
 @pytest.mark.parametrize("operator, warned", [("L", True), ("Ls", False)])
 def test_q_hypothesis_warning_follows_the_drift(tmp_path, operator, warned):
     # q = 1 > 0 on the ball-support flat disk: the warning goes with the
@@ -334,18 +406,25 @@ def test_sweep_workers_byte_identical(tmp_path, command):
 
 _EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 1e300, -1e-300,
                                 0.1, float("inf"), float("nan")])
+_GRIDS = [(grids.SPHERE, 8, 16), (grids.DISK, 8, 16), (grids.SPHERE, 10, 24),
+          (grids.DISK, 12, 20), (grids.SPHERE, 16, 32)]
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(*[st.one_of(_EDGE_FLOATS, st.floats())] * 3),
-                max_size=20))
-def test_array_rows_write_the_same_bytes(rows):
-    # a float array takes the one-format path, a list of rows goes through
-    # csv.writer and _fmt; both must give the same file
+@given(st.sampled_from(_GRIDS).flatmap(lambda shape: st.tuples(
+    st.just(shape), arrays(np.float64, shape[1:],
+                           elements=st.one_of(_EDGE_FLOATS, st.floats())))))
+def test_node_values_write_the_same_bytes(case):
+    # the grid-factored eigenfunction writer and the csv.writer/_fmt rows
+    # of the same (u, v, phi) nodes must give the same file
+    (topology, n_u, n_v), phi = case
+    grid = grids.make_grid(topology, n_u, n_v)
+    U, V = grid.meshgrid()
+    rows = list(zip(U.ravel(), V.ravel(), phi.ravel()))
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("a.csv", "b.csv")]
         cli._write_csv(paths[0], ["u", "v", "phi"],
-                       np.array(rows, dtype=float).reshape(-1, 3))
+                       cli._NodeValues(grid, phi))
         cli._write_csv(paths[1], ["u", "v", "phi"], rows)
         a, b = (pathlib.Path(p).read_bytes() for p in paths)
     assert a == b

@@ -1,4 +1,4 @@
-"""Tests for the grid calculus: operators, quadrature, curvature, distances."""
+"""Tests for the grid calculus: operators, quadrature, curvature."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from motslab.grids import (
     gauss_curvature,
     gradient,
     integrate,
-    intrinsic_diameter,
     laplace_beltrami,
     make_grid,
 )
@@ -288,11 +287,3 @@ def test_boundary_geodesic_curvature_flat_disk():
     g = make_grid(grids.SPHERE, 16, 32)
     with pytest.raises(TopologyError):
         boundary_geodesic_curvature(round_sphere_metric(g))
-
-
-def test_intrinsic_diameter_disk_and_sphere():
-    d = make_grid(grids.DISK, 48, 96)
-    assert abs(intrinsic_diameter(flat_disk_metric(d)) - 2.0) < 0.03 * 2.0
-    g = make_grid(grids.SPHERE, 48, 96)
-    r = 1.5
-    assert abs(intrinsic_diameter(round_sphere_metric(g, r)) - np.pi * r) < 0.03 * np.pi * r

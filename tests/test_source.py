@@ -2,10 +2,13 @@
 benchmark tracer wraps."""
 
 import ast
+import json
 import pathlib
 import subprocess
 import sys
 from collections import Counter
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "motslab"
@@ -204,3 +207,35 @@ def test_benchmark_tracer_installs():
          str(ROOT / "perfbench")],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_import_motslab_loads_no_layer():
+    # a layer is imported on first attribute access, so a process loads
+    # only the layers its command runs
+    script = ("import sys; sys.path[:0] = sys.argv[1:]\n"
+              "import motslab\n"
+              "loaded = sorted(m for m in sys.modules if m.startswith('motslab.'))\n"
+              "assert loaded == [], loaded\n"
+              "assert motslab.spectra.__name__ == 'motslab.spectra'\n"
+              "assert 'motslab.spectra' in sys.modules\n")
+    run = subprocess.run([sys.executable, "-c", script, str(SRC.parent)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+_WORKLOADS = [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_traced_benchmark_cycle_is_correct(tmp_path, workload):
+    # one traced cycle: every job passes its output check, each job has one
+    # cli.main root span, and its self times sum to its wall time
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         workload, "--seed", "1", "--seconds", "0.01", "--trace", "1",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"], run.stdout

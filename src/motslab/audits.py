@@ -26,12 +26,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import grids, initialdata as idata, spectra, surfaces
 from .errors import TopologyError, UnsupportedOperationError
-from .grids import (
-    boundary_geodesic_curvature,
-    boundary_integrate,
-    gauss_curvature,
-    integrate,
-)
+from .grids import boundary_geodesic_curvature, integrate
 
 HOLDS = "Holds"
 VIOLATED = "Violated"
@@ -456,8 +451,7 @@ def audit_I_sigma(geom, theta_tol=surfaces.THETA_TOL,
     rhs = 2.0 * np.pi * chi
 
     kappa = boundary_geodesic_curvature(geom.metric)
-    chi_gb = (integrate(geom.metric, gauss_curvature(geom.metric))
-              + boundary_integrate(geom.metric, kappa)) / (2.0 * np.pi)
+    chi_gb = grids.total_curvature(geom.metric) / (2.0 * np.pi)
 
     # equality diagnostics per the rigidity case
     res_Ls = spectra.principal_eigenvalue(spectra.assemble(
@@ -492,7 +486,8 @@ def audit_index_bounds(genus, boundary_components, index_s, c=None,
     """Pure arithmetic audit of the low-index consequences: index one
     forces l < 10 (even genus) or l < 14 (odd genus), and with
     mu - |J| >= c > 0 the area satisfies
-    |Sigma| <= 2 pi (7 - (-1)^g - l) / c.
+    |Sigma| <= 2 pi (7 - (-1)^g - l) / c. The area bound is audited when
+    both c and area are given; one of them alone raises ValueError.
     """
     g = int(genus)
     l = int(boundary_components)
@@ -508,7 +503,9 @@ def audit_index_bounds(genus, boundary_components, index_s, c=None,
     extras = {"boundary_bound": bound_l, "margin_boundary_count": margin_l}
     not_applicable = i_s != 1
 
-    if c is not None and area is not None:
+    if (c is None) != (area is None):
+        raise ValueError("the area bound needs both c and area")
+    if c is not None:
         c = float(c)
         area = float(area)
         flags.append(HypothesisFlag("dec_constant_positive", c > 0.0, c))

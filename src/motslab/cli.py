@@ -174,7 +174,7 @@ _ROBIN_Q = {
 def resolve_bc(text):
     """The Robin q of a ``--bc`` word, a function of the geometry; None
     for ``closed``."""
-    text = (text or "closed").strip()
+    text = text.strip()
     if text == "closed":
         return None
     if text in _ROBIN_Q:
@@ -286,19 +286,15 @@ _SURFACE_HEADER = ["data", "surface", "grid", "area", "boundary_length",
 
 def run_surface(cfg):
     _, geom = _geometry(cfg)
-    metric = geom.metric
-    k_int = grids.gauss_curvature(metric)
+    total = grids.total_curvature(geom.metric)
     if geom.grid.topology == grids.SPHERE:
         blen = ""
         e_h = surfaces.hawking_energy(geom)
-        gb = grids.integrate(metric, k_int) - 4.0 * np.pi
+        gb = total - 4.0 * np.pi
     else:
         blen = geom.boundary_length()
         e_h = ""
-        gb = (grids.integrate(metric, k_int)
-              + grids.boundary_integrate(
-                  metric, grids.boundary_geodesic_curvature(metric))
-              - 2.0 * np.pi)
+        gb = total - 2.0 * np.pi
     row = [cfg.data, cfg.surface, cfg.grid, geom.area, blen,
            float(np.min(geom.theta_p)), float(np.max(geom.theta_p)),
            float(np.min(geom.theta_m)), float(np.max(geom.theta_m)),

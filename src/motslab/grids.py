@@ -10,6 +10,11 @@ the antipodal continuation f(-u, v) = parity * f(u, v + pi), which is exact
 for smooth fields pulled back from the surface. Tensor components pick up a
 sign per u index (parity -1), scalars continue evenly (parity +1). At the
 disk boundary ring one-sided second-order stencils are used.
+
+On these stencils sit the metric divergence, the area and boundary
+quadratures, the Gauss and boundary geodesic curvatures and their
+Gauss-Bonnet total. The fourth-order stencils serve only the band of rings
+nearest the chart degeneracy in ``gauss_curvature``.
 """
 
 from dataclasses import dataclass, field
@@ -286,13 +291,7 @@ def _check_finite(name, *fields):
 # differential operators
 
 
-def _stencils(order):
-    if order == 4:
-        return d_u4, d_v4
-    return d_u, d_v
-
-
-def _log_density_derivatives(metric, order=2):
+def _log_density_derivatives(metric):
     """Derivatives of log sqrt(det g), split for pole regularity.
 
     The area density behaves like sin(u) (sphere) or u (disk) at the chart
@@ -302,7 +301,6 @@ def _log_density_derivatives(metric, order=2):
     would hit the |sin u| kink and lose consistency on the first ring.
     """
     g = metric.grid
-    du1, dv1 = _stencils(order)
     U, _ = g.meshgrid()
     if g.topology == SPHERE:
         sing = np.cos(U) / np.sin(U)
@@ -310,22 +308,12 @@ def _log_density_derivatives(metric, order=2):
     else:
         sing = 1.0 / U
         smooth = metric.sqrt_det / U
-    lu = sing + du1(g, np.log(smooth), parity=1.0)
-    lv = 0.5 * dv1(g, metric.det) / metric.det
+    lu = sing + d_u(g, np.log(smooth), parity=1.0)
+    lv = 0.5 * d_v(g, metric.det) / metric.det
     return lu, lv
 
 
-def gradient(metric, f, order=2):
-    """Index-raised gradient: components g^{ab} d_b f."""
-    _check_finite("gradient", f)
-    g = metric.grid
-    du1, dv1 = _stencils(order)
-    fu = du1(g, f, parity=1.0)
-    fv = dv1(g, f)
-    return metric.raise_covector(fu, fv)
-
-
-def divergence(metric, w, order=2):
+def divergence(metric, w):
     """Metric divergence of a vector field given by raised components (w^u, w^v).
 
     Computed as d_a w^a + w^a d_a log sqrt(g); the u-component ghosts use
@@ -334,14 +322,8 @@ def divergence(metric, w, order=2):
     wu, wv = w
     _check_finite("divergence", wu, wv)
     g = metric.grid
-    du1, dv1 = _stencils(order)
-    lu, lv = _log_density_derivatives(metric, order)
-    return du1(g, wu, parity=-1.0) + dv1(g, wv) + wu * lu + wv * lv
-
-
-def laplace_beltrami(metric, f, order=2):
-    """Laplace-Beltrami operator, realized as divergence of the gradient."""
-    return divergence(metric, gradient(metric, f, order), order)
+    lu, lv = _log_density_derivatives(metric)
+    return d_u(g, wu, parity=-1.0) + d_v(g, wv) + wu * lu + wv * lv
 
 
 def integrate(metric, f):
@@ -374,13 +356,11 @@ def boundary_integrate(metric, f_boundary):
     return float(np.sum(f_boundary * metric.boundary_line_element()))
 
 
-def _brioschi(metric, order):
+def _brioschi(metric, stencils):
+    """Brioschi's K with the stencils (d_u, d_v, d_uu, d_vv) of one order."""
     g = metric.grid
     E, F, G = metric.guu, metric.guv, metric.gvv
-    if order == 4:
-        du1, dv1, dvv1, duu1 = d_u4, d_v4, d_vv4, d_uu4
-    else:
-        du1, dv1, dvv1, duu1 = d_u, d_v, d_vv, d_uu
+    du1, dv1, duu1, dvv1 = stencils
     Eu = du1(g, E, 1.0)
     Ev = dv1(g, E)
     Evv = dvv1(g, E)
@@ -420,9 +400,9 @@ def gauss_curvature(metric):
     the result is uniformly second-order accurate in the max norm.
     """
     g = metric.grid
-    K = _brioschi(metric, order=2)
+    K = _brioschi(metric, (d_u, d_v, d_uu, d_vv))
     band = max(4, g.n_u // 4)
-    K4 = _brioschi(metric, order=4)
+    K4 = _brioschi(metric, (d_u4, d_v4, d_uu4, d_vv4))
     K[:band] = K4[:band]
     if g.topology == SPHERE:
         K[-band:] = K4[-band:]
@@ -447,3 +427,13 @@ def boundary_geodesic_curvature(metric):
     gamma_u_vv = 0.5 * (iuu * (2.0 * dguv_v - dgvv_u) + iuv * dgvv_v)
     return -gamma_u_vv / (metric.gvv[-1] * np.sqrt(iuu))
 
+
+def total_curvature(metric):
+    """The Gauss-Bonnet sum: int K dmu on a sphere, and
+    int K dmu + oint kappa dl on a disk, which is 2 pi chi up to
+    discretisation error."""
+    total = integrate(metric, gauss_curvature(metric))
+    if metric.grid.topology == DISK:
+        total = total + boundary_integrate(
+            metric, boundary_geodesic_curvature(metric))
+    return total

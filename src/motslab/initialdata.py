@@ -28,9 +28,6 @@ import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, InvalidInputError
 
-_EYE = np.eye(3)
-
-
 # ---------------------------------------------------------------------------
 # spacetime extensions (Einstein tensor contractions in closed form)
 
@@ -68,15 +65,14 @@ class DeSitterExtension:
 class InitialData:
     """An analytic initial data set.
 
-    Parameters are closed-form evaluator callables over batched points
-    ``x[i, ...]``. ``slice_family`` maps a time offset t to the initial data
-    induced on the slice at unit-lapse coordinate time t, when the entry
-    belongs to a known unit-lapse slicing (used by the spacetime-direction
-    variation oracle); entries without one set it to None.
+    ``params`` are the entry's named parameters, ``g``, ``dg``, ``ddg``,
+    ``k`` and ``dk`` closed-form evaluator callables over batched points
+    ``x[i, ...]``, ``in_domain`` the evaluator of the chart domain, and
+    ``extension`` the Einstein tensor of the spacetime development.
     """
 
     def __init__(self, name, params, g, dg, ddg, k, dk, in_domain,
-                 extension=None, slice_family=None):
+                 extension=None):
         self.name = name
         self.params = dict(params)
         self.g = g
@@ -86,7 +82,6 @@ class InitialData:
         self.dk = dk
         self.in_domain = in_domain
         self.extension = extension
-        self.slice_family = slice_family
 
     def __repr__(self):
         pstr = ",".join(f"{k}={v}" for k, v in self.params.items())
@@ -124,22 +119,19 @@ def _everywhere(x):
 
 def minkowski_flat():
     """Flat slice of Minkowski space: g = delta, k = 0."""
-    data = InitialData(
+    return InitialData(
         name="minkowski_flat", params={},
         g=lambda x: _delta(1.0, np.shape(x)[1:]), dg=_zeros(3), ddg=_zeros(4),
         k=_zeros(2), dk=_zeros(3), in_domain=_everywhere,
         extension=ZeroExtension(),
     )
-    data.slice_family = lambda t: data
-    return data
 
 
 def hyperboloidal_flat(scale=1.0):
     """Flat slice of de Sitter space: g = c delta, k = c delta (c = scale).
 
     The constraints give mu = 3 and J = 0 for every c > 0, and the ambient
-    Einstein tensor is G = -3 h. Sliding along the unit-lapse time of the
-    flat slicing rescales c by e^{2t}.
+    Einstein tensor is G = -3 h.
     """
     c = float(scale)
     if not c > 0.0:
@@ -148,14 +140,12 @@ def hyperboloidal_flat(scale=1.0):
     def g(x):
         return _delta(c, np.shape(x)[1:])
 
-    data = InitialData(
+    return InitialData(
         name="hyperboloidal_flat", params={"scale": c},
         g=g, dg=_zeros(3), ddg=_zeros(4), k=g, dk=_zeros(3),
         in_domain=_everywhere,
         extension=DeSitterExtension(),
-        slice_family=lambda t: hyperboloidal_flat(scale=c * np.exp(2.0 * t)),
     )
-    return data
 
 
 def schwarzschild_isotropic(mass=1.0, excision_factor=0.05):
@@ -450,69 +440,3 @@ def dec_margin(data, sample_points):
         raise ValueError("empty sample set")
     jet = evaluate(data, pts)
     return float(np.min(jet.mu - jet.j_norm))
-
-
-# ---------------------------------------------------------------------------
-# validation helpers
-
-
-def finite_difference_clone(data, step=1e-5):
-    """Clone of an initial data set whose derivative evaluators are central
-    finite differences of g and k, ignoring the analytic ones. Used as an
-    independent oracle for constraint self-consistency."""
-    h = float(step)
-
-    def shift(x, m):
-        return h * _EYE[m].reshape((3,) + (1,) * (x.ndim - 1))
-
-    def first(f):
-        def df(x):
-            x = np.asarray(x, dtype=float)
-            return np.stack([(f(x + shift(x, m)) - f(x - shift(x, m)))
-                             / (2.0 * h) for m in range(3)])
-        return df
-
-    def ddg(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty((3, 3, 3, 3) + x.shape[1:])
-        for l in range(3):
-            for m in range(3):
-                el, em = shift(x, l), shift(x, m)
-                if l == m:
-                    out[l, m] = (data.g(x + el) - 2.0 * data.g(x)
-                                 + data.g(x - el)) / h**2
-                else:
-                    out[l, m] = (
-                        data.g(x + el + em) - data.g(x + el - em)
-                        - data.g(x - el + em) + data.g(x - el - em)
-                    ) / (4.0 * h**2)
-        return out
-
-    return InitialData(
-        name=data.name + "_fd", params=data.params,
-        g=data.g, dg=first(data.g), ddg=ddg, k=data.k, dk=first(data.k),
-        in_domain=data.in_domain, extension=data.extension,
-    )
-
-
-def rescaled_clone(data, factor):
-    """Pullback of an initial data set under x -> factor * x.
-
-    Used to check that mu transforms as a scalar under constant chart
-    rescalings.
-    """
-    c = float(factor)
-
-    def pull(x):
-        return np.asarray(x, dtype=float) / c
-
-    return InitialData(
-        name=data.name + "_rescaled", params=data.params,
-        g=lambda x: data.g(pull(x)) / c**2,
-        dg=lambda x: data.dg(pull(x)) / c**3,
-        ddg=lambda x: data.ddg(pull(x)) / c**4,
-        k=lambda x: data.k(pull(x)) / c**2,
-        dk=lambda x: data.dk(pull(x)) / c**3,
-        in_domain=lambda x: data.in_domain(pull(x)),
-        extension=data.extension,
-    )

@@ -4,10 +4,11 @@ The elliptic operators all share the shape L = -Laplace + 2 <W, grad .> +
 c(x), with the Robin condition d/dnu phi = q phi on a disk boundary and
 none on a closed sphere. An operator is its coefficients: ``assemble``
 takes the arrays (c, drift, q) that one function in ``surfaces`` returns
-per operator (the same (c, drift) the first-variation formulas apply), or
-a caller's own potential c with the free boundary q. A Robin q > 0 next
-to a drift breaks the sign hypothesis of the principal-eigenvalue theorem,
-and the assembled pencil carries a warning then.
+per operator (the same (c, drift) the tests' first-variation oracle
+applies), or a caller's own potential c with the free boundary q. A Robin
+q > 0 next to a drift breaks the sign hypothesis of the
+principal-eigenvalue theorem, and the assembled pencil carries a warning
+then.
 
 Assembly is in weak form: the -Laplace block is the discrete Dirichlet
 energy, a compact 9-point stencil on the (u, v) chart in which the faces

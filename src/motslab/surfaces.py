@@ -17,15 +17,12 @@ the ``Metric2Field``.
 
 Each stability operator -Laplace + 2 <drift, grad .> + c, with the Robin
 condition d/dnu phi = q phi on a boundary, is its coefficients: one
-function here returns its (c, drift, q), q None on a closed surface.
-``spectra.assemble`` takes those arrays, and the first-variation formulas
-of theta_+ and |H|^2 apply (c, drift) in strong form. The free boundary
-and capillary q are defined here too. A finite-difference variation
-oracle checks those formulas against recomputed geometry of perturbed
-surfaces.
+function here returns its (c, drift, q), q None on a closed surface, and
+``spectra.assemble`` takes those arrays. The free boundary and capillary q
+are defined here too.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 import numpy as np
 
 from . import grids
@@ -179,8 +176,6 @@ class SurfaceChart:
     """Nodal embedding of a parametrized surface with derivative arrays,
     each of shape (3, n_u, n_v).
 
-    ``representation`` is "radial" for radial graphs (center + rho * mhat)
-    and "explicit" for charts built from analytic maps or nodal arrays.
     ``normal_ref`` orients the unit normal: ("center", p) picks the sign
     with g(N, F - p) > 0, ("vector", w) picks g(N, w) > 0 in the flat
     chart pairing.
@@ -193,7 +188,6 @@ class SurfaceChart:
     Fuu: np.ndarray
     Fuv: np.ndarray
     Fvv: np.ndarray
-    representation: str = "explicit"
     normal_ref: tuple = ("vector", np.array([0.0, 0.0, 1.0]))
     support: LevelSetSupport | None = None
     flip_normal: bool = False
@@ -246,7 +240,6 @@ def radial_graph_chart(grid, rho, center=(0.0, 0.0, 0.0)):
     Fuv = ruv * mh + ru * mh_v + rv * mh_u + rho * mh_uv
     Fvv = rvv * mh + 2.0 * (rv * mh_v) + rho * mh_vv
     return SurfaceChart(grid, F, Fu, Fv, Fuu, Fuv, Fvv,
-                        representation="radial",
                         normal_ref=("center", center))
 
 
@@ -276,7 +269,6 @@ def ellipsoid_chart(grid, a=1.0, b=1.0, c=1.5):
     Fuv = vec(-cu * sv, cu * cv, zero)
     Fvv = vec(-su * cv, -su * sv, zero)
     return SurfaceChart(grid, F, Fu, Fv, Fuu, Fuv, Fvv,
-                        representation="explicit",
                         normal_ref=("center", np.zeros(3)))
 
 
@@ -302,7 +294,6 @@ def flat_disk_chart(grid, radius=1.0, z0=0.0, support=None):
     if support is None:
         support = CylinderSupport(R)
     return SurfaceChart(grid, F, Fu, Fv, Fuu, Fuv, Fvv,
-                        representation="explicit",
                         normal_ref=("vector", np.array([0.0, 0.0, 1.0])),
                         support=support)
 
@@ -328,16 +319,8 @@ def cap_chart(grid, radius=1.0, support=None):
     if support is None:
         support = PlaneSupport(0.0)
     return SurfaceChart(grid, F, Fu, Fv, Fuu, Fuv, Fvv,
-                        representation="explicit",
                         normal_ref=("center", np.zeros(3)),
                         support=support)
-
-
-def nodal_chart(base, F, Fu, Fv, Fuu, Fuv, Fvv):
-    """Explicit chart carrying perturbed nodal arrays, inheriting grid,
-    orientation, and support from a base chart."""
-    return replace(base, F=F, Fu=Fu, Fv=Fv, Fuu=Fuu, Fuv=Fuv, Fvv=Fvv,
-                   representation="explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -687,156 +670,3 @@ def hstab_minus_lminus_coefficients(geom):
     H-stability operator."""
     return (geom.divW - geom.W2 + qbar_potential(geom), geom.W_cov,
             free_boundary_q(geom))
-
-
-def _strong_form(geom, coefficients, phi):
-    """-Laplace phi + 2 <drift, grad phi> + c phi for (c, drift, q) (q
-    plays no part in the interior). Fourth-order stencils keep truncation
-    below the oracle's finite-difference error."""
-    c, drift, _ = coefficients
-    gu, gv = grids.gradient(geom.metric, phi, order=4)
-    return (-divergence(geom.metric, (gu, gv), order=4)
-            + 2.0 * (drift[0] * gu + drift[1] * gv) + c * phi)
-
-
-def delta_theta_plus(geom, phi):
-    """First variation of theta_+ under phi N: L phi (``mots_coefficients``)
-    plus the off-MOTS term (theta_+ tr k - theta_+^2 / 2) phi."""
-    return (_strong_form(geom, mots_coefficients(geom), phi)
-            + (geom.theta_p * geom.trk - 0.5 * geom.theta_p**2) * phi)
-
-
-def delta_H2_normal(geom, phi):
-    """First variation of |H|^2 = H^2 - P^2 under phi N: 2H HStabNormal phi."""
-    return 2.0 * geom.H * _strong_form(geom, hstab_normal_coefficients(geom),
-                                       phi)
-
-
-def delta_H2_minus_lminus(geom, phi):
-    """First variation of |H|^2 under X = -phi l_-: -2 theta_- times the
-    HStabMinusLminus operator applied to phi."""
-    return -2.0 * geom.theta_m * _strong_form(
-        geom, hstab_minus_lminus_coefficients(geom), phi)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference variation oracle
-
-
-def _vector_field_jet(grid, X):
-    """First and second grid derivatives of a Cartesian vector field
-    X[i, u, v], with fourth-order stencils (displacement jets feed the
-    oracle)."""
-    from .grids import d_u4, d_uu4, d_v4, d_vv4
-
-    du1 = np.stack([d_u4(grid, c, 1.0) for c in X])
-    dv1 = np.stack([d_v4(grid, c) for c in X])
-    duu1 = np.stack([d_uu4(grid, c, 1.0) for c in X])
-    duv1 = np.stack([d_v4(grid, d_u4(grid, c, 1.0)) for c in X])
-    dvv1 = np.stack([d_vv4(grid, c) for c in X])
-    return du1, dv1, duu1, duv1, dvv1
-
-
-def displaced_chart(geom, phi, eps):
-    """Chart of the surface displaced by eps * phi * N, with derivative
-    arrays built from grid stencils of the displacement field."""
-    chart = geom.chart
-    X = phi * geom.N
-    du1, dv1, duu1, duv1, dvv1 = _vector_field_jet(chart.grid, X)
-    return nodal_chart(chart,
-                       F=chart.F + eps * X,
-                       Fu=chart.Fu + eps * du1,
-                       Fv=chart.Fv + eps * dv1,
-                       Fuu=chart.Fuu + eps * duu1,
-                       Fuv=chart.Fuv + eps * duv1,
-                       Fvv=chart.Fvv + eps * dvv1)
-
-
-NORMAL_N = "normal"
-MINUS_L_MINUS = "minus-l-minus"
-
-
-@dataclass
-class OracleEntry:
-    quantity: str
-    eps: float
-    deviation: float
-
-
-@dataclass
-class OracleResult:
-    direction: str
-    entries: list
-    orders: dict
-    formula_fields: dict
-
-    def max_deviation(self, quantity, eps=None):
-        devs = [e.deviation for e in self.entries
-                if e.quantity == quantity and (eps is None or e.eps == eps)]
-        return max(devs)
-
-
-def variation_oracle(surface, data, phi, direction, eps_list):
-    """Compare first-variation formulas against central finite differences
-    of recomputed geometry.
-
-    For the normal direction the surface is displaced by +-eps phi N within
-    the same data set (checks the theta_+ variation and, where H > 0, the
-    |H|^2 variation). For the -l_- direction the displacement splits into
-    phi N within the slice and a slide of the slice itself, which is only
-    representable for constant phi on data sets carrying a unit-lapse
-    slice family.
-    """
-    if surface.representation != "radial":
-        raise UnsupportedOperationError(
-            "the variation oracle requires a radial-graph surface")
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), surface.grid.shape)
-    geom0 = compute_geometry(surface, data)
-
-    if direction == NORMAL_N:
-        checks = [("theta_plus", delta_theta_plus(geom0, phi),
-                   lambda g: g.theta_p)]
-        if np.min(geom0.H) > 0.0:
-            checks.append(("H2_normal", delta_H2_normal(geom0, phi),
-                           lambda g: g.H**2 - g.P**2))
-
-        def slice_at(t):
-            return data
-
-    elif direction == MINUS_L_MINUS:
-        if np.max(np.abs(phi - phi.flat[0])) > 1e-12:
-            raise UnsupportedOperationError(
-                "the -l_- oracle supports constant phi only")
-        if data.slice_family is None:
-            raise UnsupportedOperationError(
-                f"{data.name} has no unit-lapse slice family")
-        checks = [("H2_lminus", delta_H2_minus_lminus(geom0, phi),
-                   lambda g: g.H**2 - g.P**2)]
-        c = float(phi.flat[0])
-
-        def slice_at(t):    # the slice the surface displaced by t lies in
-            return data.slice_family(-t * c)
-
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-
-    entries = []
-    for eps in eps_list:
-        gp, gm = (compute_geometry(displaced_chart(geom0, phi, t), slice_at(t))
-                  for t in (float(eps), -float(eps)))
-        for name, formula, extract in checks:
-            fd = (extract(gp) - extract(gm)) / (2.0 * float(eps))
-            dev = float(np.max(np.abs(fd - formula)))
-            entries.append(OracleEntry(name, float(eps), dev))
-
-    orders = {}
-    eps_sorted = sorted({e.eps for e in entries}, reverse=True)
-    for name, _, _ in checks:
-        seq = [next(e.deviation for e in entries
-                    if e.quantity == name and e.eps == ep)
-               for ep in eps_sorted]
-        orders[name] = [float(np.log2(seq[i] / seq[i + 1]))
-                        if seq[i + 1] > 0 else np.inf
-                        for i in range(len(seq) - 1)]
-    return OracleResult(direction, entries, orders,
-                        {name: formula for name, formula, _ in checks})

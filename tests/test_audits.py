@@ -365,6 +365,11 @@ def test_index_bounds_arithmetic():
     assert rep.verdict == NOT_APPLICABLE
     with pytest.raises(ValueError):
         audit_index_bounds(0, 0, 1)
+    # the area bound needs both c and area: one alone once dropped it
+    with pytest.raises(ValueError):
+        audit_index_bounds(0, 3, 1, c=1.0)
+    with pytest.raises(ValueError):
+        audit_index_bounds(0, 3, 1, area=10.0)
 
 
 def test_index_bounds_property_grid():

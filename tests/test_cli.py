@@ -216,6 +216,9 @@ def test_determinism_byte_identical(tmp_path):
     ("robinhood", "disk:r=1", "unknown boundary condition 'robinhood'"),
     ("robin:", "disk:r=1", "unknown boundary condition 'robin:'"),
     ("robin", "disk:r=1", "unknown boundary condition 'robin'"),
+    # an empty word once ran as closed, with an empty bc column
+    ("", "sphere:r=1", "unknown boundary condition ''"),
+    ("  ", "sphere:r=1", "unknown boundary condition ''"),
 ])
 def test_bc_must_match_the_surface(tmp_path, capsys, bc, surface, message):
     code, _ = run(["eigen", "--operator", "L", "--bc", bc, "--data",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from data_oracles import finite_difference_clone, rescaled_clone, slice_family
 from motslab import initialdata as idata
 from motslab.errors import (
     DegenerateMetricError,
@@ -25,7 +26,7 @@ def sample_points(data, n, seed=7):
 @pytest.mark.parametrize("entry", idata.catalog(), ids=lambda d: d.name)
 def test_analytic_derivative_consistency(entry):
     pts = sample_points(entry, 25)
-    fd = idata.finite_difference_clone(entry, step=1e-5)
+    fd = finite_difference_clone(entry, step=1e-5)
     scale = max(1.0, np.max(np.abs(entry.dg(pts))))
     assert np.max(np.abs(entry.dg(pts) - fd.dg(pts))) < 1e-6 * scale
     scale = max(1.0, np.max(np.abs(entry.ddg(pts))))
@@ -85,7 +86,7 @@ def test_constraint_fd_oracle_agreement():
     rng_pts = 100
     for entry in idata.catalog():
         pts = sample_points(entry, rng_pts, seed=13)
-        fd = idata.finite_difference_clone(entry, step=2e-5)
+        fd = finite_difference_clone(entry, step=2e-5)
         jet_a = idata.evaluate(entry, pts)
         jet_f = idata.evaluate(fd, pts)
         assert np.max(np.abs(jet_a.mu - jet_f.mu)) < 1e-5, entry.name
@@ -97,7 +98,7 @@ def test_chart_rescaling_leaves_mu_invariant():
                   idata.schwarzschild_pg(1.0)):
         pts = sample_points(entry, 20)
         c = 1.7
-        scaled = idata.rescaled_clone(entry, c)
+        scaled = rescaled_clone(entry, c)
         mu = idata.evaluate(entry, pts).mu
         mu_s = idata.evaluate(scaled, c * pts).mu
         assert np.max(np.abs(mu - mu_s)) < 1e-9, entry.name
@@ -142,7 +143,7 @@ def test_ricci_schwarzschild_scalar_flat():
 
 def test_slice_family_hyperboloidal():
     hyp = idata.hyperboloidal_flat()
-    shifted = hyp.slice_family(0.25)
+    shifted = slice_family(hyp)(0.25)
     x = np.array([1.0, 0.0, 0.0])
     assert np.allclose(shifted.g(x), np.exp(0.5) * np.eye(3))
     mu = idata.evaluate(shifted, x).mu

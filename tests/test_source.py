@@ -14,8 +14,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "motslab"
 
 # parameters an interface fixes: the vacuum extension's contraction ignores
-# its vectors, and the oracle's fixed slice ignores its displacement
-EXEMPT = {"ZeroExtension.contract", "variation_oracle.slice_at"}
+# its vectors
+EXEMPT = {"ZeroExtension.contract"}
+
+
+def _trees():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(SRC.glob("*.py"))}
 
 
 def _functions(tree):
@@ -108,11 +113,6 @@ def test_surface_layer_holds_one_layout():
 
 # public names that nothing in the package calls, and why each stays
 UNREFERENCED_EXEMPT = {
-    "variation_oracle": "test oracle of the first-variation formulas",
-    "OracleResult.max_deviation": "read on the variation oracle's result",
-    "finite_difference_clone": "test oracle of the analytic derivatives",
-    "rescaled_clone": "test oracle of the scaling laws",
-    "laplace_beltrami": "test oracle of the strong-form Laplacian",
     "stability_verdict": "becomes the stability audit (ROADMAP item 6)",
     "AuditReport.flag": "the report's lookup of a flag by name",
     "_Parser.error": "argparse calls it on bad input",
@@ -140,8 +140,7 @@ def _referenced_names(node):
 
 
 def _unreferenced():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     refs = Counter(r for tree in trees.values()
                    for r in _referenced_names(tree))
     for module, tree in trees.items():
@@ -157,7 +156,7 @@ def test_every_public_function_is_referenced():
 
 
 # the records whose fields the scan below checks, by module
-RECORDS = {"surfaces.py": ("SurfaceGeometry", "BoundaryData"),
+RECORDS = {"surfaces.py": ("SurfaceChart", "SurfaceGeometry", "BoundaryData"),
            "spectra.py": ("OperatorMatrix", "EigenResult")}
 
 # fields that nothing in the package reads, and why each stays
@@ -174,25 +173,44 @@ UNREAD_FIELD_EXEMPT = {
 }
 
 
-def _unread_fields():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(SRC.glob("*.py"))}
-    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+def _record_fields(trees):
+    """(qualified name, name) of each field of the RECORDS classes."""
     for module, classes in RECORDS.items():
         for node in trees[module].body:
             if isinstance(node, ast.ClassDef) and node.name in classes:
                 for field in node.body:
                     if isinstance(field, ast.AnnAssign):
-                        name = f"{node.name}.{field.target.id}"
-                        if field.target.id not in read \
-                                and name not in UNREAD_FIELD_EXEMPT:
-                            yield name
+                        yield f"{node.name}.{field.target.id}", field.target.id
+
+
+def _unread_fields():
+    trees = _trees()
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    for qual, name in _record_fields(trees):
+        if name not in read and qual not in UNREAD_FIELD_EXEMPT:
+            yield qual
 
 
 def test_every_record_field_is_read():
     # a field that nothing reads is computed (or stored) for nothing
     assert list(_unread_fields()) == []
+
+
+def test_every_exemption_names_a_definition():
+    # an exemption left behind by a name that moved or went would exempt a
+    # later definition of that name unseen
+    trees = _trees()
+    defined = [
+        (EXEMPT, {name for tree in trees.values()
+                  for name, _ in _functions(tree)}),
+        (UNREFERENCED_EXEMPT, {qual for tree in trees.values()
+                               for qual, _, _ in _public_definitions(tree)}),
+        (UNREAD_FIELD_EXEMPT, {qual for qual, _ in _record_fields(trees)}),
+    ]
+    stale = [key for exempt, names in defined for key in exempt
+             if key not in names]
+    assert stale == []
 
 
 def test_benchmark_tracer_installs():

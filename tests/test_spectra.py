@@ -1,5 +1,7 @@
 """Tests for operator assembly and the eigenvalue machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,10 +110,10 @@ def twisted_disk_geom(n, s=0.3):
     e = np.stack([np.cos(ph), np.sin(ph), np.zeros_like(u)])
     e_perp = np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(u)])
     base = flat_disk_chart(grid, 1.0)
-    chart = surfaces.nodal_chart(
-        base, u * e, e + 2.0 * s * u**2 * e_perp, u * e_perp,
-        6.0 * s * u * e_perp - 4.0 * s**2 * u**3 * e,
-        e_perp - 2.0 * s * u**2 * e, -u * e)
+    chart = replace(
+        base, F=u * e, Fu=e + 2.0 * s * u**2 * e_perp, Fv=u * e_perp,
+        Fuu=6.0 * s * u * e_perp - 4.0 * s**2 * u**3 * e,
+        Fuv=e_perp - 2.0 * s * u**2 * e, Fvv=-u * e)
     return compute_geometry(chart, idata.minkowski_flat())
 
 
@@ -383,7 +385,6 @@ def test_hstab_operators_assemble():
         # H > 0 holds but theta_- = -2 != 0 is fine; minkowski has a zero
         # extension so Qbar is defined; the guard to test is H > 0 failing
         # on an inward-oriented sphere.
-        from dataclasses import replace
         chart = replace(flat.chart, flip_normal=True)
         geom_in = compute_geometry(chart, idata.minkowski_flat())
         operator(geom_in, hstab_normal_coefficients)

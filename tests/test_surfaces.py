@@ -8,6 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthetic_fields import with_overrides
+from variation_oracle import (
+    MINUS_L_MINUS,
+    NORMAL_N,
+    gradient,
+    gradient4,
+    laplace_beltrami,
+    strong_form,
+    variation_oracle,
+)
 from motslab import audits, grids, initialdata as idata, surfaces
 from motslab.errors import TopologyError, UnsupportedOperationError
 from motslab.grids import integrate, make_grid
@@ -22,7 +31,6 @@ from motslab.surfaces import (
     hawking_energy,
     radial_graph_chart,
     sphere_chart,
-    variation_oracle,
 )
 
 
@@ -305,7 +313,7 @@ def test_variation_oracle_unit_sphere_constant():
     # phi = 1 on the unit sphere in flat data: formula value is -2.
     chart = sphere_chart(grid64(), 1.0)
     data = idata.minkowski_flat()
-    res = variation_oracle(chart, data, 1.0, surfaces.NORMAL_N, [1e-3])
+    res = variation_oracle(chart, data, 1.0, NORMAL_N, [1e-3])
     assert np.max(np.abs(res.formula_fields["theta_plus"] + 2.0)) < 1e-9
     # the floor is the eps^2 term of the central difference of 2/(1+eps)
     assert res.max_deviation("theta_plus") < 5e-6
@@ -315,7 +323,7 @@ def test_variation_oracle_cos_u():
     chart = sphere_chart(grid64(), 1.0)
     data = idata.minkowski_flat()
     U, _ = chart.grid.meshgrid()
-    res = variation_oracle(chart, data, np.cos(U), surfaces.NORMAL_N, [1e-3])
+    res = variation_oracle(chart, data, np.cos(U), NORMAL_N, [1e-3])
     assert res.max_deviation("theta_plus") < 1e-3
     assert res.max_deviation("H2_normal") < 5e-3
 
@@ -326,7 +334,7 @@ def test_variation_oracle_converges():
     for n, eps in ((32, 1e-3), (64, 5e-4)):
         chart = sphere_chart(make_grid(grids.SPHERE, n, 2 * n), 1.0)
         U, _ = chart.grid.meshgrid()
-        res = variation_oracle(chart, data, np.cos(U), surfaces.NORMAL_N, [eps])
+        res = variation_oracle(chart, data, np.cos(U), NORMAL_N, [eps])
         devs.append(res.max_deviation("theta_plus"))
     assert devs[0] / devs[1] >= 3.0
 
@@ -337,7 +345,7 @@ def test_variation_oracle_minus_lminus_hyperboloidal():
     r = 2.0
     chart = sphere_chart(grid64(), r)
     data = idata.hyperboloidal_flat()
-    res = variation_oracle(chart, data, 1.0, surfaces.MINUS_L_MINUS,
+    res = variation_oracle(chart, data, 1.0, MINUS_L_MINUS,
                            [1e-3, 5e-4])
     expected = (8.0 / r**2) * (1.0 - 1.0 / r)
     formula = res.formula_fields["H2_lminus"]
@@ -352,7 +360,7 @@ def test_variation_oracle_minus_lminus_hyperboloidal():
     lemma = (0.5 * g.R_S - 0.5 * g.G_lplm
              + g.theta_p / (2.0 * g.theta_m) * (chi_m2 + g.G_lmlm)
              + 0.5 * g.theta_m * g.theta_p)
-    lemma_formula = -2.0 * g.theta_m * surfaces._strong_form(
+    lemma_formula = -2.0 * g.theta_m * strong_form(
         g, (g.divW - g.W2 + lemma, g.W_cov, None), np.ones(g.grid.shape))
     assert np.max(np.abs(formula - lemma_formula)) < 1e-11
 
@@ -362,10 +370,10 @@ def test_variation_oracle_minus_lminus_guards():
     U, _ = chart.grid.meshgrid()
     with pytest.raises(UnsupportedOperationError):
         variation_oracle(chart, idata.hyperboloidal_flat(), np.cos(U),
-                         surfaces.MINUS_L_MINUS, [1e-3])
+                         MINUS_L_MINUS, [1e-3])
     with pytest.raises(UnsupportedOperationError):
         variation_oracle(chart, idata.schwarzschild_isotropic(1.0), 1.0,
-                         surfaces.MINUS_L_MINUS, [1e-3])
+                         MINUS_L_MINUS, [1e-3])
 
 
 def test_overrides_recompute_q():
@@ -374,10 +382,10 @@ def test_overrides_recompute_q():
     assert np.max(np.abs(synth.Q - (geom.K - 0.25 - 0.5 * geom.chi_p2))) < 1e-12
     U, V = geom.grid.meshgrid()
     h = 0.3 * np.cos(U)
-    gu, gv = grids.gradient(geom.metric, h)
+    gu, gv = gradient(geom.metric, h)
     w_cov = np.stack([grids.d_u(geom.grid, h, 1.0), grids.d_v(geom.grid, h)])
     synth = with_overrides(geom, W_cov=w_cov)
-    lap = grids.laplace_beltrami(geom.metric, h)
+    lap = laplace_beltrami(geom.metric, h)
     assert np.max(np.abs(synth.divW - lap)) < 1e-10
 
 
@@ -396,7 +404,7 @@ def test_variation_oracle_nonzero_w():
         phi = 1.0 + 0.3 * np.cos(U) + 0.2 * np.sin(U) * np.cos(V)
         geom = compute_geometry(chart, data)
         assert np.max(np.abs(geom.W_cov)) > 1e-3
-        res = variation_oracle(chart, data, phi, surfaces.NORMAL_N, [eps])
+        res = variation_oracle(chart, data, phi, NORMAL_N, [eps])
         devs.append(res.max_deviation("theta_plus"))
     assert devs[0] / devs[1] > 3.0
     assert devs[1] < 3e-2
@@ -413,10 +421,10 @@ def test_variation_oracle_drift_term():
     U, V = grid.meshgrid()
     phi = 1.0 + 0.3 * np.cos(U) + 0.2 * np.sin(U) * np.cos(V)
     geom = compute_geometry(chart, data)
-    gu, gv = grids.gradient(geom.metric, phi, order=4)
+    gu, gv = gradient4(geom.metric, phi)
     drift = 2.0 * (geom.W_cov[0] * gu + geom.W_cov[1] * gv)
     assert np.max(np.abs(drift)) > 0.1
-    res = variation_oracle(chart, data, phi, surfaces.NORMAL_N, [5e-4])
+    res = variation_oracle(chart, data, phi, NORMAL_N, [5e-4])
     assert res.max_deviation("theta_plus") < 1e-2
     assert res.max_deviation("H2_normal") < 4e-2
 
@@ -431,7 +439,7 @@ def test_variation_oracle_bumpy_graph():
         rho = 1.0 + 0.15 * np.sin(U) ** 2 * np.cos(2.0 * V)
         chart = radial_graph_chart(grid, rho)
         res = variation_oracle(chart, idata.minkowski_flat(), np.cos(U),
-                               surfaces.NORMAL_N, [eps])
+                               NORMAL_N, [eps])
         devs_t.append(res.max_deviation("theta_plus"))
         devs_h.append(res.max_deviation("H2_normal"))
     assert devs_t[0] / devs_t[1] > 3.0 and devs_t[1] < 5e-4
@@ -448,7 +456,7 @@ def test_variation_oracle_h2_with_momentum_terms():
         chart = sphere_chart(grid, 1.0, (0.4, 0.0, 0.0))
         U, _ = grid.meshgrid()
         res = variation_oracle(chart, data, 1.0 + 0.3 * np.cos(U),
-                               surfaces.NORMAL_N, [eps])
+                               NORMAL_N, [eps])
         devs.append(res.max_deviation("H2_normal"))
     assert devs[0] / devs[1] > 3.0
 

@@ -15,6 +15,15 @@ every other module. It builds Ricci from contractions of g^-1 with the
 second derivatives of g, without forming the derivative of the Christoffel
 symbols.
 
+``evaluate`` skips the work on fields that vanish identically. The zero
+evaluators that ``_zeros`` makes carry the function attribute
+``vanishes``, which survives ``functools.wraps`` (a timing wrapper copies
+it). When dg and ddg are both marked (a constant metric: Minkowski,
+Painleve-Gullstrand, the de Sitter flat slice), Gamma, d g^-1, Ric and R
+are zero fields and ddg is never evaluated. When k and dk are both marked
+(time-symmetric data: Minkowski, isotropic Schwarzschild), so are tr k,
+|k|^2, d tr k and J. Any unmarked evaluator takes the general path.
+
 Index conventions are component-major, batch last: points are
 ``x[i, ...]``, and ``g[i, j, ...]``, ``dg[m, i, j, ...] = d_m g_ij``,
 ``ddg[l, m, i, j, ...] = d_l d_m g_ij``, ``dk[m, i, j, ...] = d_m k_ij``.
@@ -104,9 +113,26 @@ def _delta(value, batch):
     return out
 
 
+def _zero(shape):
+    """A read-only zero field of ``shape`` that holds no memory."""
+    return np.broadcast_to(0.0, shape)
+
+
 def _zeros(rank):
-    """Evaluator of the zero field with ``rank`` component axes."""
-    return lambda x: np.zeros((3,) * rank + np.shape(x)[1:])
+    """Evaluator of the zero field with ``rank`` component axes, marked
+    ``vanishes`` for ``evaluate``. The mark is a function attribute
+    because ``functools.wraps`` copies the wrapped function's ``__dict__``,
+    so a timing wrapper keeps it."""
+    def zero(x):
+        return _zero((3,) * rank + np.shape(x)[1:])
+
+    zero.vanishes = True
+    return zero
+
+
+def _vanish(*evaluators):
+    """Whether every evaluator is marked as the zero field."""
+    return all(getattr(f, "vanishes", False) for f in evaluators)
 
 
 def _norm(x):
@@ -160,28 +186,34 @@ def schwarzschild_isotropic(mass=1.0, excision_factor=0.05):
         raise ValueError("mass must be positive")
     r_min = excision_factor * m
 
-    def _psi_jet(x):
+    # each evaluator forms psi's derivatives up to its own order only
+    def _psi(x):
         x = np.asarray(x, dtype=float)
         r = _norm(x)
-        psi = 1.0 + 0.5 * m / r
-        dpsi = (-0.5 * m / r**3) * x
+        return x, r, 1.0 + 0.5 * m / r
+
+    def _dpsi(x, r):
+        return (-0.5 * m / r**3) * x
+
+    def _ddpsi(x, r):
         ddpsi = (1.5 * m / r**5) * x[:, None] * x[None, :]
         for a in range(3):
             ddpsi[a, a] -= 0.5 * m / r**3
-        return psi, dpsi, ddpsi
+        return ddpsi
 
     def g(x):
-        psi, _, _ = _psi_jet(x)
+        _, _, psi = _psi(x)
         return _delta(psi**4, psi.shape)
 
     def dg(x):
-        psi, dpsi, _ = _psi_jet(x)
-        return _delta(4.0 * psi**3 * dpsi, psi.shape)
+        x, r, psi = _psi(x)
+        return _delta(4.0 * psi**3 * _dpsi(x, r), psi.shape)
 
     def ddg(x):
-        psi, dpsi, ddpsi = _psi_jet(x)
+        x, r, psi = _psi(x)
+        dpsi = _dpsi(x, r)
         return _delta(12.0 * psi**2 * dpsi[:, None] * dpsi[None, :]
-                      + 4.0 * psi**3 * ddpsi, psi.shape)
+                      + 4.0 * psi**3 * _ddpsi(x, r), psi.shape)
 
     data = InitialData(
         name="schwarzschild_isotropic", params={"m": m},
@@ -262,13 +294,17 @@ def spec_params(name, text, known=None):
     """The ``key=value`` pairs of a spec's parameter text, as strings.
 
     With ``known``, a key outside it raises InvalidInputError, so a typo
-    cannot silently fall back to a default.
+    cannot silently fall back to a default. A key given twice raises it
+    too, so neither value silently wins.
     """
     params = {}
     if text:
         for item in text.split(","):
             key, _, val = item.partition("=")
-            params[key.strip()] = val.strip()
+            key = key.strip()
+            if key in params:
+                raise InvalidInputError(f"{name}: {key} given twice")
+            params[key] = val.strip()
     if known is not None:
         for key in params:
             if key not in known:
@@ -367,8 +403,8 @@ def _inverse(g):
 def evaluate(data, x):
     """Evaluate the ambient jet of ``data`` at points ``x[i, ...]``.
 
-    Checks the domain once and calls each analytic evaluator once. The
-    energy density mu and momentum density J come from the constraint
+    Checks the domain once and calls each analytic evaluator at most once.
+    The energy density mu and momentum density J come from the constraint
     equations; this is the single source of truth for (mu, J) downstream.
 
     Ricci is built from the second derivatives directly,
@@ -382,50 +418,69 @@ def evaluate(data, x):
     the quadratic terms (d_j Gamma^i_ik uses Gamma^i_ik = g^il d_k g_il / 2),
     so the derivative of the Christoffel symbols is never formed. The
     second-derivative terms are freed before the constraints are formed.
+
+    Work on fields that vanish identically is skipped. When the evaluators
+    of dg and ddg both carry the zero-field mark of ``_zeros`` (a constant
+    metric), Gamma, d g^-1, Ric and R are zero fields and ``data.ddg`` is
+    never called; when those of k and dk do (time-symmetric data), so are
+    tr k, |k|^2, d tr k and J. Zero fields are read-only zero-stride views
+    of the shapes the general path gives, and mu and |J| come from the same
+    formulas either way, so the jet has the same values.
     """
     x = np.ascontiguousarray(x, dtype=float)
     data.check_domain(x)
+    batch = x.shape[1:]
     g = data.g(x)
     ginv = _inverse(g)
     dg = data.dg(x)
-    ddg = data.ddg(x)
+    flat = _vanish(data.dg, data.ddg)
+    ddg = None if flat else data.ddg(x)
     k = data.k(x)
     dk = data.dk(x)
 
-    # A[l, j, k] = d_j g_lk + d_k g_jl - d_l g_jk
-    A = dg.swapaxes(0, 1) + dg.swapaxes(0, 2) - dg
-    gam = 0.5 * np.einsum("il...,ljk...->ijk...", ginv, A)
-    dginv = -np.einsum("mib...,bl...->mil...",
-                       np.einsum("ia...,mab...->mib...", ginv, dg), ginv)
+    if flat:
+        gam = dginv = _zero((3, 3, 3) + batch)
+        ric = _zero((3, 3) + batch)
+        scal = _zero(batch)
+    else:
+        # A[l, j, k] = d_j g_lk + d_k g_jl - d_l g_jk
+        A = dg.swapaxes(0, 1) + dg.swapaxes(0, 2) - dg
+        gam = 0.5 * np.einsum("il...,ljk...->ijk...", ginv, A)
+        dginv = -np.einsum("mib...,bl...->mil...",
+                           np.einsum("ia...,mab...->mib...", ginv, dg), ginv)
 
-    # g^il d_i d_j g_lk, g^il d_i d_l g_jk and g^il d_j d_k g_il
-    cross = np.einsum("il...,ijlk...->jk...", ginv, ddg)
-    box = np.einsum("il...,iljk...->jk...", ginv, ddg)
-    hess_ln = np.einsum("jkil...,il...->jk...", ddg, ginv)
-    del ddg
-    div_ginv = np.einsum("iil...->l...", dginv)
-    first = (np.einsum("l...,ljk...->jk...", div_ginv, A)
-             - np.einsum("jil...,kil...->jk...", dginv, dg))
-    del A
-    quad = (np.einsum("p...,pjk...->jk...", np.einsum("iip...->p...", gam),
-                      gam)
-            - np.einsum("ijp...,pik...->jk...", gam, gam))
-    ric = (0.5 * (cross + cross.swapaxes(0, 1) - box - hess_ln + first)
-           + quad)
-    del cross, box, hess_ln, first, quad
-    scal = np.einsum("ij...,ij...->...", ginv, ric)
+        # g^il d_i d_j g_lk, g^il d_i d_l g_jk and g^il d_j d_k g_il
+        cross = np.einsum("il...,ijlk...->jk...", ginv, ddg)
+        box = np.einsum("il...,iljk...->jk...", ginv, ddg)
+        hess_ln = np.einsum("jkil...,il...->jk...", ddg, ginv)
+        del ddg
+        div_ginv = np.einsum("iil...->l...", dginv)
+        first = (np.einsum("l...,ljk...->jk...", div_ginv, A)
+                 - np.einsum("jil...,kil...->jk...", dginv, dg))
+        del A
+        quad = (np.einsum("p...,pjk...->jk...",
+                          np.einsum("iip...->p...", gam), gam)
+                - np.einsum("ijp...,pik...->jk...", gam, gam))
+        ric = (0.5 * (cross + cross.swapaxes(0, 1) - box - hess_ln + first)
+               + quad)
+        del cross, box, hess_ln, first, quad
+        scal = np.einsum("ij...,ij...->...", ginv, ric)
 
-    trk = np.einsum("ij...,ij...->...", ginv, k)
-    k_up = np.einsum("ia...,aj...->ij...", ginv, k)
-    k2 = np.einsum("ij...,ji...->...", k_up, k_up)
+    if _vanish(data.k, data.dk):
+        trk = k2 = _zero(batch)
+        dtrk = J = _zero((3,) + batch)
+    else:
+        trk = np.einsum("ij...,ij...->...", ginv, k)
+        k_up = np.einsum("ia...,aj...->ij...", ginv, k)
+        k2 = np.einsum("ij...,ji...->...", k_up, k_up)
+        dtrk = (np.einsum("mij...,ij...->m...", dginv, k)
+                + np.einsum("mij...,ij...->m...", dk, ginv))
+        gam_trace = np.einsum("lik...,ik...->l...", gam, ginv)
+        div_k = (np.einsum("ab...,abj...->j...", ginv, dk)
+                 - np.einsum("l...,lj...->j...", gam_trace, k)
+                 - np.einsum("ba...,abj...->j...", k_up, gam))
+        J = div_k - dtrk
     mu = 0.5 * (scal + trk**2 - k2)
-    dtrk = (np.einsum("mij...,ij...->m...", dginv, k)
-            + np.einsum("mij...,ij...->m...", dk, ginv))
-    gam_trace = np.einsum("lik...,ik...->l...", gam, ginv)
-    div_k = (np.einsum("ab...,abj...->j...", ginv, dk)
-             - np.einsum("l...,lj...->j...", gam_trace, k)
-             - np.einsum("ba...,abj...->j...", k_up, gam))
-    J = div_k - dtrk
     j_norm = np.sqrt(np.maximum(bilinear(ginv, J, J), 0.0))
     return AmbientJet(x=x, g=g, ginv=ginv, dg=dg, k=k, dk=dk, gam=gam,
                       dginv=dginv, ric=ric, R=scal, trk=trk, absk2=k2,

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from motslab import cli, grids, spectra
+from motslab.errors import InvalidInputError
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -339,6 +340,28 @@ def test_unknown_spec_parameter_exits_numerical(tmp_path, capsys, spec):
     assert code == 3
     assert not (out / "surface.csv").exists()
     assert "takes no parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["surface", "--data", "schwarzschild-iso:m=1,m=2"],
+    ["surface", "--surface", "sphere:r=1,r=3"],
+    ["surface", "--surface", "disk:r=1,support=plane,support=cylinder:r=1"],
+    ["sweep", "--sweep-param", "data:m", "--data",
+     "schwarzschild-iso:m=1,m=2"],
+    ["sweep", "--sweep-param", "surface:r", "--surface", "sphere:cx=0,cx=1"],
+])
+def test_repeated_spec_parameter_exits_numerical(tmp_path, capsys, args):
+    # neither value may silently win; later flags override the defaults
+    code, out = run(["--data", "minkowski", "--surface", "sphere:r=1",
+                     "--grid", "16x32"] + args, tmp_path)
+    assert code == 3
+    assert not out.exists() or not any(out.iterdir())
+    assert "given twice" in capsys.readouterr().err
+
+
+def test_repeated_support_parameter_is_refused():
+    with pytest.raises(InvalidInputError, match="z given twice"):
+        cli.resolve_support("plane:z=0,z=1")
 
 
 @pytest.mark.parametrize("command", [["constraints"],

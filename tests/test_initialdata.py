@@ -1,11 +1,15 @@
 """Tests for the initial data catalog and constraint evaluation."""
 
+import collections
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from data_oracles import finite_difference_clone, rescaled_clone, slice_family
-from motslab import initialdata as idata
+from motslab import grids, initialdata as idata, surfaces
 from motslab.errors import (
     DegenerateMetricError,
     DomainError,
@@ -280,3 +284,67 @@ def test_jet_matches_textbook_formulas(seed, eps):
         got = getattr(jet, name)
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(got - expected)) <= 1e-13 * scale, name
+
+
+_JET_FIELDS = [f.name for f in dataclasses.fields(idata.AmbientJet)]
+_EVALUATORS = ("g", "dg", "ddg", "k", "dk", "in_domain")
+
+
+def _rewrap(data, wrap):
+    """The same entry with every evaluator f replaced by wrap(name, f)."""
+    return idata.InitialData(
+        name=data.name, params=data.params,
+        **{name: wrap(name, getattr(data, name)) for name in _EVALUATORS},
+        extension=data.extension)
+
+
+@pytest.mark.parametrize(
+    "entry", idata.catalog() + [idata.hyperboloidal_flat(2.0),
+                                idata.schwarzschild_pg(0.7)], ids=repr)
+def test_zero_field_shortcut_gives_the_general_jet(entry):
+    # a plain lambda carries no zero-field mark, so evaluate takes the
+    # general path and contracts the zero fields out in full
+    general = _rewrap(entry, lambda name, f: lambda x: f(x))
+    grid = grids.make_grid(grids.SPHERE, 12, 24)
+    nodes = surfaces.sphere_chart(grid, 1.0, (0.1, -0.2, 0.3)).F
+    for x in (nodes, sample_points(entry, 30, seed=11)):
+        fast, slow = idata.evaluate(entry, x), idata.evaluate(general, x)
+        for name in _JET_FIELDS:
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), \
+                name
+
+
+@pytest.mark.parametrize("entry, ddg_calls", [
+    (idata.schwarzschild_pg(1.0), 0), (idata.minkowski_flat(), 0),
+    (idata.hyperboloidal_flat(), 0), (idata.schwarzschild_isotropic(1.0), 1)],
+    ids=repr)
+def test_wrapped_zero_evaluators_keep_the_shortcut(entry, ddg_calls):
+    # a timing wrapper made with functools.wraps, as a tracer makes it,
+    # copies the mark, so traced runs skip the same work as untraced ones
+    calls = collections.Counter()
+
+    def wrap(name, f):
+        @functools.wraps(f)
+        def counted(x):
+            calls[name] += 1
+            return f(x)
+        return counted
+
+    idata.evaluate(_rewrap(entry, wrap), sample_points(entry, 10))
+    assert calls["ddg"] == ddg_calls
+    assert [calls[name] for name in ("g", "dg", "k", "dk")] == [1, 1, 1, 1]
+
+
+def test_unmarked_evaluator_is_never_skipped():
+    # PG with the second derivatives of g_ij = x_i x_j in place of its zero
+    # ddg: the mark belongs to the evaluator, so the swap reaches Ricci
+    pg = idata.schwarzschild_pg(1.0)
+    eye = np.eye(3)
+    hess = (np.einsum("li,mj->lmij", eye, eye)
+            + np.einsum("lj,mi->lmij", eye, eye))
+    pg.ddg = lambda x: np.broadcast_to(
+        hess.reshape(hess.shape + (1,) * (np.ndim(x) - 1)),
+        hess.shape + np.shape(x)[1:])
+    jet = idata.evaluate(pg, sample_points(pg, 10))
+    assert np.min(np.abs(jet.R)) > 1.0
+    assert np.min(np.abs(jet.ric[0, 0])) > 1.0

@@ -220,13 +220,7 @@ def audit_hawking_bound(geom):
     """
     if geom.grid.topology != grids.SPHERE:
         raise TopologyError("the bound applies to sphere topology")
-    if not geom.has_extension:
-        return _finish("hawking-bound", 0.0, 0.0, [
-            HypothesisFlag("spacetime_extension", False, float("nan"))], [],
-            notes="initial data set carries no spacetime extension",
-            not_applicable=True)
-
-    nec = float(min(np.min(geom.G_lplp), np.min(geom.G_lmlm)))
+    nec = float(np.min(geom.G_lmlm))
     flags = [
         HypothesisFlag("spacetime_extension", True, 1.0),
         HypothesisFlag("null_energy_sampled", nec >= -1e-10, nec),
@@ -352,9 +346,6 @@ def audit_growth_bounds(geom, a, c=None, q_field=None,
 def compute_G_quantity(geom):
     """G(Sigma) = -3/4 theta+ theta- + 1/2 G(l+,l-)
     - (theta+ / 2 theta-) G(l-,l-)."""
-    if not geom.has_extension:
-        raise UnsupportedOperationError(
-            "the G quantity requires a spacetime extension")
     if np.min(np.abs(geom.theta_m)) < 1e-12:
         raise UnsupportedOperationError("theta_- vanishes somewhere")
     return (-0.75 * geom.theta_p * geom.theta_m + 0.5 * geom.G_lplm

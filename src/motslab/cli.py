@@ -93,6 +93,26 @@ _SURFACE_KEYS = {"sphere": ("r", "cx", "cy", "cz"),
                  "graph": ("file", "cx", "cy", "cz"),
                  "disk": ("r", "z", "support"),
                  "cap": ("r", "support")}
+# the spec keys that are radii or semi-axes
+_LENGTH_KEYS = ("r", "a", "b", "c")
+
+
+def _spec_floats(name, rest, known):
+    """The parameters of a surface or support spec, each but ``file`` and
+    ``support`` a float. A value that is not finite, or a radius or
+    semi-axis <= 0, raises InvalidInputError."""
+    params = idata.spec_params(name, rest, known)
+    for key, val in params.items():
+        if key in ("file", "support"):
+            continue
+        value = float(val)
+        if not np.isfinite(value):
+            raise InvalidInputError(f"{name} parameter {key} must be finite")
+        if key in _LENGTH_KEYS and value <= 0.0:
+            raise InvalidInputError(
+                f"{name} parameter {key} must be positive")
+        params[key] = value
+    return params
 
 
 def resolve_support(spec):
@@ -104,8 +124,7 @@ def resolve_support(spec):
     name, _, rest = spec.partition(":")
     if name not in _SUPPORT_KEYS:
         raise ValueError(f"unknown support {name!r}")
-    params = {k: float(v) for k, v in
-              idata.spec_params(name, rest, _SUPPORT_KEYS[name]).items()}
+    params = _spec_floats(name, rest, _SUPPORT_KEYS[name])
     if name == "plane":
         return surfaces.PlaneSupport(params.get("z", 0.0))
     if name == "cylinder":
@@ -119,19 +138,18 @@ def resolve_surface(spec, grid_shape):
     name = name.strip().lower()
     if name not in _SURFACE_KEYS:
         raise ValueError(f"unknown surface {name!r}")
-    params = idata.spec_params(name, rest, _SURFACE_KEYS[name])
+    params = _spec_floats(name, rest, _SURFACE_KEYS[name])
     support = resolve_support(params.pop("support", None))
+    center = tuple(params.get(key, 0.0) for key in ("cx", "cy", "cz"))
 
     if name == "sphere":
         grid = grids.make_grid(grids.SPHERE, *grid_shape)
-        center = (float(params.get("cx", 0.0)), float(params.get("cy", 0.0)),
-                  float(params.get("cz", 0.0)))
-        return surfaces.sphere_chart(grid, float(params.get("r", 1.0)), center)
+        return surfaces.sphere_chart(grid, params.get("r", 1.0), center)
     if name == "ellipsoid":
         grid = grids.make_grid(grids.SPHERE, *grid_shape)
-        return surfaces.ellipsoid_chart(grid, float(params.get("a", 1.0)),
-                                        float(params.get("b", 1.0)),
-                                        float(params.get("c", 1.5)))
+        return surfaces.ellipsoid_chart(grid, params.get("a", 1.0),
+                                        params.get("b", 1.0),
+                                        params.get("c", 1.5))
     if name == "graph":
         if "file" not in params:
             raise InvalidInputError("a graph surface needs file=<path>")
@@ -143,17 +161,13 @@ def resolve_surface(spec, grid_shape):
                 f"{rho.shape}; a {grid.n_u}x{grid.n_v} grid needs one "
                 f"column of {grid.n_nodes} rows")
         rho = rho.reshape(grid.shape)
-        center = (float(params.get("cx", 0.0)), float(params.get("cy", 0.0)),
-                  float(params.get("cz", 0.0)))
         return surfaces.radial_graph_chart(grid, rho, center)
     if name == "disk":
         grid = grids.make_grid(grids.DISK, *grid_shape)
-        r = float(params.get("r", 1.0))
-        return surfaces.flat_disk_chart(grid, r, float(params.get("z", 0.0)),
-                                        support=support)
+        return surfaces.flat_disk_chart(grid, params.get("r", 1.0),
+                                        params.get("z", 0.0), support=support)
     grid = grids.make_grid(grids.DISK, *grid_shape)
-    return surfaces.cap_chart(grid, float(params.get("r", 1.0)),
-                              support=support)
+    return surfaces.cap_chart(grid, params.get("r", 1.0), support=support)
 
 
 # the (c, drift, q) of each --operator
@@ -215,10 +229,8 @@ def cmd_catalog(cfg):
     rows = []
     for entry in idata.catalog():
         pstr = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(entry.params.items()))
-        rows.append((entry.name, pstr,
-                     "yes" if entry.extension is not None else "no"))
-        print(f"{entry.name:28s} params[{pstr}] "
-              f"extension={'yes' if entry.extension is not None else 'no'}")
+        rows.append((entry.name, pstr, "yes"))
+        print(f"{entry.name:28s} params[{pstr}] extension=yes")
     _write_csv(os.path.join(cfg.out, "catalog.csv"),
                ["name", "params", "extension"], rows)
     return EXIT_OK
@@ -572,6 +584,8 @@ def parse_config(argv=None):
             raise ValueError(f"{name} must be positive")
     if cfg.sweep_steps < 2:
         raise ValueError("sweeps need at least 2 steps")
+    if cfg.samples < 1:
+        raise ValueError("constraints need at least 1 sample")
     os.makedirs(cfg.out, exist_ok=True)
     return cfg
 

@@ -8,8 +8,12 @@ the constraint equations
     2 mu = R_g + (tr k)^2 - |k|^2,      J = div(k - (tr k) g),
 
 never supplied by hand, so catalog entries are constraint-consistent by
-construction. ``evaluate`` computes the whole ambient jet at a point set
-(g, its inverse and derivatives, k, the Christoffel symbols, Ricci, and the
+construction. Each entry's spacetime development is a Lambda-vacuum, whose
+Einstein tensor G = -Lambda h the entry gives as the one number
+``cosmological_constant``.
+
+``evaluate`` computes the whole ambient jet at a point set (g, its inverse
+and derivatives, k, the Christoffel symbols, Ricci, and the
 constraint-derived mu, J and |J|) and is the single source of (mu, J) for
 every other module. It builds Ricci from contractions of g^-1 with the
 second derivatives of g, without forming the derivative of the Christoffel
@@ -38,36 +42,6 @@ import numpy as np
 from .errors import DegenerateMetricError, DomainError, InvalidInputError
 
 # ---------------------------------------------------------------------------
-# spacetime extensions (Einstein tensor contractions in closed form)
-
-
-class ZeroExtension:
-    """Einstein tensor of a vacuum development: all contractions vanish."""
-
-    vacuum = True
-
-    def contract(self, jet, a, b):
-        return np.zeros(jet.x.shape[1:])
-
-
-class DeSitterExtension:
-    """Einstein tensor G = -3 h of de Sitter space with unit Hubble rate.
-
-    The flat slicing carries g = c * delta, k = c * delta on each slice, so
-    G(a, b) = -3 (-a_t b_t + g_ij a^i b^j) for 4-vectors split into a time
-    component along tau and a spatial part in the chart basis.
-    """
-
-    vacuum = False
-
-    def contract(self, jet, a, b):
-        at, asp = a
-        bt, bsp = b
-        spatial = bilinear(jet.g, asp, bsp)
-        return -3.0 * (-np.asarray(at) * np.asarray(bt) + spatial)
-
-
-# ---------------------------------------------------------------------------
 # initial data sets
 
 
@@ -77,11 +51,12 @@ class InitialData:
     ``params`` are the entry's named parameters, ``g``, ``dg``, ``ddg``,
     ``k`` and ``dk`` closed-form evaluator callables over batched points
     ``x[i, ...]``, ``in_domain`` the evaluator of the chart domain, and
-    ``extension`` the Einstein tensor of the spacetime development.
+    ``cosmological_constant`` the Lambda of its Lambda-vacuum spacetime
+    development, whose Einstein tensor is G = -Lambda h.
     """
 
     def __init__(self, name, params, g, dg, ddg, k, dk, in_domain,
-                 extension=None):
+                 cosmological_constant):
         self.name = name
         self.params = dict(params)
         self.g = g
@@ -90,7 +65,7 @@ class InitialData:
         self.k = k
         self.dk = dk
         self.in_domain = in_domain
-        self.extension = extension
+        self.cosmological_constant = cosmological_constant
 
     def __repr__(self):
         pstr = ",".join(f"{k}={v}" for k, v in self.params.items())
@@ -149,15 +124,16 @@ def minkowski_flat():
         name="minkowski_flat", params={},
         g=lambda x: _delta(1.0, np.shape(x)[1:]), dg=_zeros(3), ddg=_zeros(4),
         k=_zeros(2), dk=_zeros(3), in_domain=_everywhere,
-        extension=ZeroExtension(),
+        cosmological_constant=0.0,
     )
 
 
 def hyperboloidal_flat(scale=1.0):
     """Flat slice of de Sitter space: g = c delta, k = c delta (c = scale).
 
-    The constraints give mu = 3 and J = 0 for every c > 0, and the ambient
-    Einstein tensor is G = -3 h.
+    The constraints give mu = 3 and J = 0 for every c > 0: the development
+    is de Sitter space with unit Hubble rate, the Lambda-vacuum with
+    Lambda = 3, whose Einstein tensor is G = -3 h.
     """
     c = float(scale)
     if not c > 0.0:
@@ -170,7 +146,7 @@ def hyperboloidal_flat(scale=1.0):
         name="hyperboloidal_flat", params={"scale": c},
         g=g, dg=_zeros(3), ddg=_zeros(4), k=g, dk=_zeros(3),
         in_domain=_everywhere,
-        extension=DeSitterExtension(),
+        cosmological_constant=3.0,
     )
 
 
@@ -219,7 +195,7 @@ def schwarzschild_isotropic(mass=1.0, excision_factor=0.05):
         name="schwarzschild_isotropic", params={"m": m},
         g=g, dg=dg, ddg=ddg, k=_zeros(2), dk=_zeros(3),
         in_domain=lambda x: _norm(np.asarray(x, dtype=float)) > r_min,
-        extension=ZeroExtension(),
+        cosmological_constant=0.0,
     )
     return data
 
@@ -264,7 +240,7 @@ def schwarzschild_pg(mass=1.0, excision_factor=0.05):
         g=lambda x: _delta(1.0, np.shape(x)[1:]), dg=_zeros(3), ddg=_zeros(4),
         k=k, dk=dk,
         in_domain=lambda x: _norm(np.asarray(x, dtype=float)) > r_min,
-        extension=ZeroExtension(),
+        cosmological_constant=0.0,
     )
     return data
 
@@ -344,7 +320,6 @@ class AmbientJet:
     x: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
-    dg: np.ndarray
     k: np.ndarray
     dk: np.ndarray
     gam: np.ndarray
@@ -482,7 +457,7 @@ def evaluate(data, x):
         J = div_k - dtrk
     mu = 0.5 * (scal + trk**2 - k2)
     j_norm = np.sqrt(np.maximum(bilinear(ginv, J, J), 0.0))
-    return AmbientJet(x=x, g=g, ginv=ginv, dg=dg, k=k, dk=dk, gam=gam,
+    return AmbientJet(x=x, g=g, ginv=ginv, k=k, dk=dk, gam=gam,
                       dginv=dginv, ric=ric, R=scal, trk=trk, absk2=k2,
                       dtrk=dtrk, mu=mu, J=J, j_norm=j_norm)
 

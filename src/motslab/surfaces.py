@@ -393,18 +393,13 @@ class SurfaceGeometry:
     divW: np.ndarray
     W2: np.ndarray
     area: float
-    G_lplm: np.ndarray | None = None
-    G_lmlm: np.ndarray | None = None
-    G_lplp: np.ndarray | None = None
+    G_lplm: np.ndarray
+    G_lmlm: np.ndarray
     boundary: BoundaryData | None = None
 
     @property
     def grid(self):
         return self.chart.grid
-
-    @property
-    def has_extension(self):
-        return self.G_lplm is not None
 
     def boundary_length(self):
         if self.boundary is None:
@@ -521,13 +516,13 @@ def compute_geometry(surface, data):
 
     area = integrate(metric, np.ones(grid.shape))
 
-    G_lplm = G_lmlm = G_lplp = None
-    if data.extension is not None:
-        lp = (1.0, N)
-        lm = (1.0, -N)
-        G_lplm = data.extension.contract(jet, lp, lm)
-        G_lmlm = data.extension.contract(jet, lm, lm)
-        G_lplp = data.extension.contract(jet, lp, lp)
+    # G = -Lambda h of the Lambda-vacuum development at l+- = (1, +-N),
+    # where G(l+, l+) = G(l-, l-). G(l-, l-) is added onto +0.0 so that at
+    # Lambda = 0 a node with g(N, N) > 1 gives +0.0, not -0.0.
+    lam = data.cosmological_constant
+    gNN = idata.bilinear(jet.g, N, N)
+    G_lplm = lam * (1.0 + gNN)
+    G_lmlm = 0.0 + lam * (1.0 - gNN)
 
     boundary = None
     if grid.topology == grids.DISK:
@@ -541,7 +536,7 @@ def compute_geometry(surface, data):
         absA2=absA2, absk2=jet.absk2, trk=jet.trk,
         kNN=kNN, A_dot_kS=A_dot_kS,
         RicNN=RicNN, R_M=jet.R, nabla_N_P=nabla_N_P, divW=divW, W2=W2,
-        area=area, G_lplm=G_lplm, G_lmlm=G_lmlm, G_lplp=G_lplp,
+        area=area, G_lplm=G_lplm, G_lmlm=G_lmlm,
         boundary=boundary)
 
 
@@ -554,7 +549,8 @@ def _boundary_data(surface, jet, metric, N, W_cov, A):
     xb = surface.F[:, -1].copy()
     level = surface.support.level(xb)
     scale = max(1.0, float(np.max(np.abs(xb))))
-    if np.max(np.abs(level)) > 1e-8 * scale:
+    # phrased so that a NaN level fails too
+    if not np.max(np.abs(level)) <= 1e-8 * scale:
         raise ImmersionError(
             f"boundary nodes off the support level set by "
             f"{np.max(np.abs(level)):.2e}")
@@ -654,9 +650,6 @@ def qbar_potential(geom):
     (3/4 theta- theta+, |chihat_-|^2); in two dimensions
     |chi_-|^2 = |chihat_-|^2 + theta_-^2 / 2, so the two forms agree.
     """
-    if not geom.has_extension:
-        raise UnsupportedOperationError(
-            "Qbar requires a spacetime extension on the initial data set")
     if np.min(np.abs(geom.theta_m)) < 1e-12:
         raise UnsupportedOperationError("theta_- vanishes somewhere")
     base = 0.5 * geom.R_S - 0.5 * geom.G_lplm

@@ -46,7 +46,8 @@ def finite_difference_clone(data, step=1e-5):
     return idata.InitialData(
         name=data.name + "_fd", params=data.params,
         g=data.g, dg=first(data.g), ddg=ddg, k=data.k, dk=first(data.k),
-        in_domain=data.in_domain, extension=data.extension,
+        in_domain=data.in_domain,
+        cosmological_constant=data.cosmological_constant,
     )
 
 
@@ -69,7 +70,7 @@ def rescaled_clone(data, factor):
         k=lambda x: data.k(pull(x)) / c**2,
         dk=lambda x: data.dk(pull(x)) / c**3,
         in_domain=lambda x: data.in_domain(pull(x)),
-        extension=data.extension,
+        cosmological_constant=data.cosmological_constant,
     )
 
 

@@ -126,13 +126,6 @@ def test_hawking_schwarzschild_holds():
     assert rep.verdict == HOLDS
 
 
-def test_hawking_missing_extension():
-    data = idata.minkowski_flat()
-    data.extension = None
-    rep = audit_hawking_bound(sphere_geom(1.0, data))
-    assert rep.verdict == NOT_APPLICABLE
-
-
 # ---------------------------------------------------------------------------
 # cohn-vossen
 

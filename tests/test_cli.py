@@ -311,6 +311,7 @@ def test_sweep_without_param_exits_numerical(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", [["--theta-tol", "-1"],
                                   ["--sweep-steps", "1"],
+                                  ["--samples", "0"],
                                   ["--config", "no-such-motslab.cfg"],
                                   ["--config", "operator = bogus"],
                                   ["--config", "opertor = L"]])
@@ -379,6 +380,31 @@ def test_data_that_is_not_a_metric_exits_numerical(tmp_path, capsys, command,
     assert code == 3
     assert not out.exists() or not any(out.iterdir())
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("sphere:r=1,cx=inf", "cx must be finite"),
+    ("sphere:r=1,cz=nan", "cz must be finite"),
+    ("sphere:r=0", "r must be positive"),
+    ("ellipsoid:a=0", "a must be positive"),
+    ("ellipsoid:a=1,b=1,c=-1.5", "c must be positive"),
+    ("disk:r=1,z=nan,support=plane:z=nan", "z must be finite"),
+    ("disk:r=1,support=plane:z=inf", "z must be finite"),
+    ("disk:r=-1,support=plane", "r must be positive"),
+    ("disk:r=1,support=cylinder:r=0", "r must be positive"),
+    ("cap:r=0.8,support=ball:r=nan", "r must be finite"),
+])
+def test_bad_surface_value_exits_numerical(tmp_path, capsys, spec, message):
+    # a NaN centre flips the normal inward, a NaN plane passes the support
+    # level check and a zero semi-axis gives a degenerate chart: each would
+    # run to exit 0 on nonsense
+    with pytest.raises(InvalidInputError, match=message):
+        cli.resolve_surface(spec, (16, 32))
+    code, out = run(["surface", "--data", "minkowski", "--surface", spec,
+                     "--grid", "16x32"], tmp_path)
+    assert code == 3
+    assert not (out / "surface.csv").exists()
+    assert message in capsys.readouterr().err
 
 
 def test_csv_quotes_specs_with_commas(tmp_path):

@@ -108,18 +108,15 @@ def test_chart_rescaling_leaves_mu_invariant():
         assert np.max(np.abs(mu - mu_s)) < 1e-9, entry.name
 
 
-def test_extension_consistency():
-    # G(tau, tau) = mu and G(tau, e_i) = J_i at sample points.
-    tau = (1.0, np.zeros(3))
+def test_every_entry_is_a_lambda_vacuum():
+    # G = -Lambda h gives G(tau, tau) = Lambda and G(tau, e_i) = 0, which
+    # the constraints make mu and J_i at sample points.
     for entry in idata.catalog():
         pts = sample_points(entry, 20)
         jet = idata.evaluate(entry, pts)
-        gtt = entry.extension.contract(jet, tau, tau)
-        assert np.max(np.abs(gtt - jet.mu)) < 1e-8, entry.name
-        for i in range(3):
-            e = (0.0, np.eye(3)[i])
-            gti = entry.extension.contract(jet, tau, e)
-            assert np.max(np.abs(gti - jet.J[i])) < 1e-8, entry.name
+        lam = entry.cosmological_constant
+        assert np.max(np.abs(jet.mu - lam)) < 1e-8, entry.name
+        assert np.max(np.abs(jet.J)) < 1e-8, entry.name
 
 
 def test_schwarzschild_domain_excision():
@@ -172,7 +169,8 @@ def test_inverse_rejects_a_non_metric(scale):
             ddg=lambda x: np.zeros((3, 3, 3, 3, 1)),
             k=lambda x: np.zeros((3, 3, 1)),
             dk=lambda x: np.zeros((3, 3, 3, 1)),
-            in_domain=lambda x: np.ones(np.shape(x)[1:], dtype=bool))
+            in_domain=lambda x: np.ones(np.shape(x)[1:], dtype=bool),
+            cosmological_constant=0.0)
         with pytest.raises(DegenerateMetricError):
             idata.evaluate(data, np.array([[0.5], [0.0], [1.0]]))
 
@@ -265,7 +263,8 @@ def _polynomial_data(seed, eps):
 
     return idata.InitialData(
         name="polynomial", params={}, g=g, dg=dg, ddg=ddg, k=k, dk=dk,
-        in_domain=lambda x: np.ones(np.asarray(x).shape[1:], dtype=bool))
+        in_domain=lambda x: np.ones(np.asarray(x).shape[1:], dtype=bool),
+        cosmological_constant=0.0)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -279,7 +278,7 @@ def test_jet_matches_textbook_formulas(seed, eps):
     assume(np.min(np.linalg.eigvalsh(
         np.moveaxis(data.g(x), (0, 1), (-2, -1)))) > 0.2)
     jet = idata.evaluate(data, x)
-    ref = _textbook_jet(jet.g, jet.dg, data.ddg(x), jet.k, jet.dk)
+    ref = _textbook_jet(jet.g, data.dg(x), data.ddg(x), jet.k, jet.dk)
     for name, expected in ref.items():
         got = getattr(jet, name)
         scale = max(1.0, float(np.max(np.abs(expected))))
@@ -295,7 +294,7 @@ def _rewrap(data, wrap):
     return idata.InitialData(
         name=data.name, params=data.params,
         **{name: wrap(name, getattr(data, name)) for name in _EVALUATORS},
-        extension=data.extension)
+        cosmological_constant=data.cosmological_constant)
 
 
 @pytest.mark.parametrize(

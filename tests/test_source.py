@@ -13,11 +13,6 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "motslab"
 
-# parameters an interface fixes: the vacuum extension's contraction ignores
-# its vectors
-EXEMPT = {"ZeroExtension.contract"}
-
-
 def _trees():
     return {p.name: ast.parse(p.read_text(encoding="utf-8"))
             for p in sorted(SRC.glob("*.py"))}
@@ -49,7 +44,7 @@ def _only_raises(fn):
 
 def _unread_parameters(path):
     for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8"))):
-        if name in EXEMPT or _only_raises(fn):
+        if _only_raises(fn):
             continue
         args = fn.args
         params = [a.arg for a in args.posonlyargs + args.args
@@ -156,7 +151,8 @@ def test_every_public_function_is_referenced():
 
 
 # the records whose fields the scan below checks, by module
-RECORDS = {"surfaces.py": ("SurfaceChart", "SurfaceGeometry", "BoundaryData"),
+RECORDS = {"initialdata.py": ("AmbientJet",),
+           "surfaces.py": ("SurfaceChart", "SurfaceGeometry", "BoundaryData"),
            "spectra.py": ("OperatorMatrix", "EigenResult")}
 
 # fields that nothing in the package reads, and why each stays
@@ -202,8 +198,6 @@ def test_every_exemption_names_a_definition():
     # later definition of that name unseen
     trees = _trees()
     defined = [
-        (EXEMPT, {name for tree in trees.values()
-                  for name, _ in _functions(tree)}),
         (UNREFERENCED_EXEMPT, {qual for tree in trees.values()
                                for qual, _, _ in _public_definitions(tree)}),
         (UNREAD_FIELD_EXEMPT, {qual for qual, _ in _record_fields(trees)}),

@@ -382,9 +382,7 @@ def test_hstab_operators_assemble():
     assert abs(res2.lambda1 + 8.0) < 1e-6
     flat = unit_sphere_geom(16)
     with pytest.raises(UnsupportedOperationError):
-        # H > 0 holds but theta_- = -2 != 0 is fine; minkowski has a zero
-        # extension so Qbar is defined; the guard to test is H > 0 failing
-        # on an inward-oriented sphere.
+        # the guard to test is H > 0 failing on an inward-oriented sphere
         chart = replace(flat.chart, flip_normal=True)
         geom_in = compute_geometry(chart, idata.minkowski_flat())
         operator(geom_in, hstab_normal_coefficients)

@@ -18,7 +18,11 @@ from variation_oracle import (
     variation_oracle,
 )
 from motslab import audits, grids, initialdata as idata, surfaces
-from motslab.errors import TopologyError, UnsupportedOperationError
+from motslab.errors import (
+    ImmersionError,
+    TopologyError,
+    UnsupportedOperationError,
+)
 from motslab.grids import integrate, make_grid
 from motslab.surfaces import (
     BallSupport,
@@ -309,6 +313,15 @@ def test_disk_in_ball_and_cap_on_plane():
     assert np.max(np.abs(cap.theta_p - 2.0)) < 1e-10
 
 
+@pytest.mark.parametrize("z0, plane", [(0.1, 0.0), (np.nan, np.nan)])
+def test_boundary_off_the_support_is_refused(z0, plane):
+    # NaN fails the support level check too, not only a finite offset
+    grid = make_grid(grids.DISK, 16, 32)
+    chart = flat_disk_chart(grid, 1.0, z0, support=PlaneSupport(plane))
+    with pytest.raises(ImmersionError, match="off the support"):
+        compute_geometry(chart, idata.minkowski_flat())
+
+
 def test_variation_oracle_unit_sphere_constant():
     # phi = 1 on the unit sphere in flat data: formula value is -2.
     chart = sphere_chart(grid64(), 1.0)
@@ -495,7 +508,8 @@ def _anisotropic_data(eps=0.3, seed=5):
         name="anisotropic", params={}, g=g, dg=dg, ddg=ddg,
         k=lambda x: lift(p, x) + np.einsum("ijm,m...->ij...", q, x),
         dk=lambda x: lift(np.moveaxis(q, -1, 0), x),
-        in_domain=lambda x: np.ones(np.shape(x)[1:], dtype=bool))
+        in_domain=lambda x: np.ones(np.shape(x)[1:], dtype=bool),
+        cosmological_constant=0.0)
 
 
 def _node_reference(data, chart, i, j):

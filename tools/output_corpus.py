@@ -18,8 +18,10 @@ The corpus: the first seed-1 cycle of each benchmark workload (read from
 runs of acceptance criterion 10, ``constraints`` on every catalog entry,
 ``surface`` on flat and de Sitter spheres and plane-supported disks,
 ``eigen`` with each operator, ``cy-estimate``, ``g-quantity`` and
-``hawking-bound`` on a de Sitter sphere, a sweep, and spec strings that
-give a key twice.
+``hawking-bound`` on a de Sitter sphere, ``g-quantity`` and
+``hawking-bound`` on an off-centre isotropic Schwarzschild sphere (where
+g(N, N) > 1 at some nodes, so Lambda (1 - g(N, N)) at Lambda = 0 is -0.0
+there), ``catalog``, a sweep, and spec strings that give a key twice.
 """
 
 import argparse
@@ -83,6 +85,12 @@ def corpus():
     runs += [["audit", "--theorem", theorem, "--data", "hyperboloidal",
               "--surface", "sphere:r=0.5"] + grid
              for theorem in ("cy-estimate", "g-quantity", "hawking-bound")]
+    # at 64x128 the minimum of G(l-, l-) over the nodes of this sphere is
+    # a zero, so the sign of a zero shows in the printed evidence
+    runs += [["audit", "--theorem", theorem, "--data", "schwarzschild-iso:m=1",
+              "--surface", "sphere:r=3,cx=0.3,cz=0.1", "--grid", "64x128"]
+             for theorem in ("g-quantity", "hawking-bound")]
+    runs += [["catalog"]]
     runs += [
         ["sweep", "--sweep-param", "data:m", "--sweep-from", "0.8",
          "--sweep-to", "1.2", "--sweep-steps", "3",

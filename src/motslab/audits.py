@@ -221,10 +221,7 @@ def audit_hawking_bound(geom):
     if geom.grid.topology != grids.SPHERE:
         raise TopologyError("the bound applies to sphere topology")
     nec = float(np.min(geom.G_lmlm))
-    flags = [
-        HypothesisFlag("spacetime_extension", True, 1.0),
-        HypothesisFlag("null_energy_sampled", nec >= -1e-10, nec),
-    ]
+    flags = [HypothesisFlag("null_energy_sampled", nec >= -1e-10, nec)]
     extras = {"min_spacelike_margin": float(np.min(geom.H - np.abs(geom.P)))}
     if np.min(np.abs(geom.theta_m)) > 1e-12:
         extras["lambda1_hstab_lminus"] = _lambda1_or_nan(
@@ -368,7 +365,6 @@ def audit_theorem_481(geom, stab_tol=surfaces.STAB_TOL):
     lam1_hstab = _lambda1_or_nan(geom,
                                  surfaces.hstab_minus_lminus_coefficients)
     flags = [
-        HypothesisFlag("spacetime_extension", True, 1.0),
         HypothesisFlag("theta_minus_nonvanishing", min_tm > 1e-12, min_tm),
         HypothesisFlag("hstable_lminus_certified", lam1_hstab >= -stab_tol,
                        lam1_hstab),
@@ -442,7 +438,7 @@ def audit_I_sigma(geom, theta_tol=surfaces.THETA_TOL,
     rhs = 2.0 * np.pi * chi
 
     kappa = boundary_geodesic_curvature(geom.metric)
-    chi_gb = grids.total_curvature(geom.metric) / (2.0 * np.pi)
+    chi_gb = grids.total_curvature(geom.metric, geom.K) / (2.0 * np.pi)
 
     # equality diagnostics per the rigidity case
     res_Ls = spectra.principal_eigenvalue(spectra.assemble(

@@ -229,10 +229,11 @@ def cmd_catalog(cfg):
     rows = []
     for entry in idata.catalog():
         pstr = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(entry.params.items()))
-        rows.append((entry.name, pstr, "yes"))
-        print(f"{entry.name:28s} params[{pstr}] extension=yes")
+        lam = _fmt(entry.cosmological_constant)
+        rows.append((entry.name, pstr, lam))
+        print(f"{entry.name:28s} params[{pstr}] cosmological_constant={lam}")
     _write_csv(os.path.join(cfg.out, "catalog.csv"),
-               ["name", "params", "extension"], rows)
+               ["name", "params", "cosmological_constant"], rows)
     return EXIT_OK
 
 
@@ -298,7 +299,7 @@ _SURFACE_HEADER = ["data", "surface", "grid", "area", "boundary_length",
 
 def run_surface(cfg):
     _, geom = _geometry(cfg)
-    total = grids.total_curvature(geom.metric)
+    total = grids.total_curvature(geom.metric, geom.K)
     if geom.grid.topology == grids.SPHERE:
         blen = ""
         e_h = surfaces.hawking_energy(geom)

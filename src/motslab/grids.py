@@ -12,9 +12,9 @@ sign per u index (parity -1), scalars continue evenly (parity +1). At the
 disk boundary ring one-sided second-order stencils are used.
 
 On these stencils sit the metric divergence, the area and boundary
-quadratures, the Gauss and boundary geodesic curvatures and their
-Gauss-Bonnet total. The fourth-order stencils serve only the band of rings
-nearest the chart degeneracy in ``gauss_curvature``.
+quadratures, and the boundary geodesic curvature. ``total_curvature`` is
+the Gauss-Bonnet sum of a Gauss curvature it is given, which the surface
+layer takes from the Gauss equation.
 """
 
 from dataclasses import dataclass, field
@@ -154,74 +154,6 @@ def d_uu(grid, f, parity=1.0):
     return out
 
 
-def _extend_u(grid, f, parity, width=2):
-    """Pad a field with ghost rings across the pole (and across both poles
-    for the sphere) using the antipodal continuation. The disk boundary has
-    no ghosts: callers fall back to one-sided stencils there."""
-    top = [parity * _antipode(f[k]) for k in range(width)]
-    rows = [t[None, :] for t in reversed(top)]
-    rows.append(f)
-    if grid.topology == SPHERE:
-        bot = [parity * _antipode(f[-1 - k]) for k in range(width)]
-        rows.extend(t[None, :] for t in bot)
-    return np.concatenate(rows, axis=0)
-
-
-def d_v4(grid, f):
-    """Fourth-order periodic first derivative in v."""
-    fp1, fm1 = np.roll(f, -1, axis=1), np.roll(f, 1, axis=1)
-    fp2, fm2 = np.roll(f, -2, axis=1), np.roll(f, 2, axis=1)
-    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * grid.dv)
-
-
-def d_vv4(grid, f):
-    """Fourth-order periodic second derivative in v."""
-    fp1, fm1 = np.roll(f, -1, axis=1), np.roll(f, 1, axis=1)
-    fp2, fm2 = np.roll(f, -2, axis=1), np.roll(f, 2, axis=1)
-    return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * grid.dv**2)
-
-
-def d_u4(grid, f, parity=1.0):
-    """Fourth-order centered first derivative in u via antipodal ghost rings.
-
-    Near the chart degeneracy the curvature formulas divide by det(g)^2,
-    which amplifies stencil truncation by 1/u^2; fourth-order stencils keep
-    the amplified error at O(h^2) uniformly. At the disk boundary the last
-    two rings use one-sided second-order stencils.
-    """
-    ext = _extend_u(grid, f, parity)
-    out = np.empty_like(f)
-    h12 = 12.0 * grid.du
-    n = grid.n_u
-    core = (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / h12
-    if grid.topology == SPHERE:
-        out[:] = core
-    else:
-        out[: n - 2] = core
-        h2 = 2.0 * grid.du
-        out[-2] = (f[-1] - f[-3]) / h2
-        out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / h2
-    return out
-
-
-def d_uu4(grid, f, parity=1.0):
-    """Fourth-order centered second derivative in u (see ``d_u4``)."""
-    ext = _extend_u(grid, f, parity)
-    out = np.empty_like(f)
-    h12 = 12.0 * grid.du**2
-    n = grid.n_u
-    core = (-ext[4:] + 16.0 * ext[3:-1] - 30.0 * ext[2:-2]
-            + 16.0 * ext[1:-3] - ext[:-4]) / h12
-    if grid.topology == SPHERE:
-        out[:] = core
-    else:
-        out[: n - 2] = core
-        h2 = grid.du**2
-        out[-2] = (f[-1] - 2.0 * f[-2] + f[-3]) / h2
-        out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # metric fields
 
@@ -356,59 +288,6 @@ def boundary_integrate(metric, f_boundary):
     return float(np.sum(f_boundary * metric.boundary_line_element()))
 
 
-def _brioschi(metric, stencils):
-    """Brioschi's K with the stencils (d_u, d_v, d_uu, d_vv) of one order."""
-    g = metric.grid
-    E, F, G = metric.guu, metric.guv, metric.gvv
-    du1, dv1, duu1, dvv1 = stencils
-    Eu = du1(g, E, 1.0)
-    Ev = dv1(g, E)
-    Evv = dvv1(g, E)
-    Fu = du1(g, F, -1.0)
-    Fv = dv1(g, F)
-    Fuv = dv1(g, du1(g, F, -1.0))
-    Gu = du1(g, G, 1.0)
-    Gv = dv1(g, G)
-    Guu = duu1(g, G, 1.0)
-
-    a11 = -0.5 * Evv + Fuv - 0.5 * Guu
-    a12 = 0.5 * Eu
-    a13 = Fu - 0.5 * Ev
-    a21 = Fv - 0.5 * Gu
-    b11 = 0.0
-    b12 = 0.5 * Ev
-    b13 = 0.5 * Gu
-
-    def det3(m11, m12, m13, m21, m22, m23, m31, m32, m33):
-        return (m11 * (m22 * m33 - m23 * m32)
-                - m12 * (m21 * m33 - m23 * m31)
-                + m13 * (m21 * m32 - m22 * m31))
-
-    det_m1 = det3(a11, a12, a13, a21, E, F, 0.5 * Gv, F, G)
-    det_m2 = det3(b11, b12, b13, b12, E, F, b13, F, G)
-    return (det_m1 - det_m2) / metric.det**2
-
-
-def gauss_curvature(metric):
-    """Gauss curvature from the Brioschi formula in the (u, v) chart.
-
-    Metric derivatives use parity-aware stencils (g_uu and g_vv continue
-    evenly across the pole, g_uv oddly). Brioschi divides by det(g)^2,
-    which amplifies stencil truncation by 1/u^2 toward the chart
-    degeneracy, so a band of rings nearest the pole (or disk center) is
-    evaluated with fourth-order stencils while the rest uses second order;
-    the result is uniformly second-order accurate in the max norm.
-    """
-    g = metric.grid
-    K = _brioschi(metric, (d_u, d_v, d_uu, d_vv))
-    band = max(4, g.n_u // 4)
-    K4 = _brioschi(metric, (d_u4, d_v4, d_uu4, d_vv4))
-    K[:band] = K4[:band]
-    if g.topology == SPHERE:
-        K[-band:] = K4[-band:]
-    return K
-
-
 def boundary_geodesic_curvature(metric):
     """Geodesic curvature of the disk boundary circle inside the surface.
 
@@ -428,11 +307,11 @@ def boundary_geodesic_curvature(metric):
     return -gamma_u_vv / (metric.gvv[-1] * np.sqrt(iuu))
 
 
-def total_curvature(metric):
-    """The Gauss-Bonnet sum: int K dmu on a sphere, and
-    int K dmu + oint kappa dl on a disk, which is 2 pi chi up to
-    discretisation error."""
-    total = integrate(metric, gauss_curvature(metric))
+def total_curvature(metric, K):
+    """The Gauss-Bonnet sum of the Gauss curvature K: int K dmu on a
+    sphere, and int K dmu + oint kappa dl on a disk, which is 2 pi chi up
+    to discretisation error."""
+    total = integrate(metric, K)
     if metric.grid.topology == DISK:
         total = total + boundary_integrate(
             metric, boundary_geodesic_curvature(metric))

@@ -375,7 +375,6 @@ class SurfaceGeometry:
     theta_p: np.ndarray
     theta_m: np.ndarray
     K: np.ndarray
-    R_S: np.ndarray
     mu: np.ndarray
     J_N: np.ndarray
     j_norm: np.ndarray
@@ -494,12 +493,9 @@ def compute_geometry(surface, data):
     RicNN = idata.bilinear(jet.ric, N, N)
 
     # intrinsic curvature via the traced Gauss equation; the ambient data is
-    # analytic, so this is exact wherever the chart derivatives are (the
-    # Brioschi evaluation of the induced metric remains available as an
-    # independent intrinsic cross-check).
-    R_S = jet.R - 2.0 * RicNN + H**2 - absA2
-    K = 0.5 * R_S
-    Q = 0.5 * R_S - jet.mu - J_N - 0.5 * chi_p2
+    # analytic, so this is exact wherever the chart derivatives are
+    K = 0.5 * (jet.R - 2.0 * RicNN + H**2 - absA2)
+    Q = K - jet.mu - J_N - 0.5 * chi_p2
     kNN = dot(k_N, N)
     A_dot_kS = _sym2_dot(metric, A, k_S)
 
@@ -531,7 +527,7 @@ def compute_geometry(surface, data):
     return SurfaceGeometry(
         chart=surface, metric=metric, F=surface.F, N=N, A=A, H=H, k_S=k_S,
         P=P, W_cov=W_cov, chi_p=chi_p, chihat_m=chihat_m,
-        theta_p=theta_p, theta_m=theta_m, K=K, R_S=R_S, mu=jet.mu, J_N=J_N,
+        theta_p=theta_p, theta_m=theta_m, K=K, mu=jet.mu, J_N=J_N,
         j_norm=jet.j_norm, Q=Q, chi_p2=chi_p2, chihat_m2=chihat_m2,
         absA2=absA2, absk2=jet.absk2, trk=jet.trk,
         kNN=kNN, A_dot_kS=A_dot_kS,
@@ -634,7 +630,7 @@ def hstab_normal_coefficients(geom):
         raise UnsupportedOperationError(
             "the normal-direction H-stability operator requires H > 0")
     ratio = geom.P / geom.H
-    c = (0.5 * (geom.R_S - 2.0 * geom.mu - geom.trk**2 + geom.absk2
+    c = (0.5 * (2.0 * geom.K - 2.0 * geom.mu - geom.trk**2 + geom.absk2
                 - geom.absA2 - geom.H**2)
          - ratio * (-geom.J_N + geom.divW + geom.H * geom.kNN
                     - geom.A_dot_kS))
@@ -643,7 +639,7 @@ def hstab_normal_coefficients(geom):
 
 def qbar_potential(geom):
     """The potential Qbar of the -l_- variation of |H|^2 (requires
-    theta_- != 0): 1/2 R_S - 1/2 G(l+, l-) + 3/4 theta- theta+
+    theta_- != 0): K - 1/2 G(l+, l-) + 3/4 theta- theta+
     + (theta+ / 2 theta-) (|chihat_-|^2 + G(l-, l-)).
 
     The lemma states it with (1/2 theta- theta+, |chi_-|^2) in place of
@@ -652,7 +648,7 @@ def qbar_potential(geom):
     """
     if np.min(np.abs(geom.theta_m)) < 1e-12:
         raise UnsupportedOperationError("theta_- vanishes somewhere")
-    base = 0.5 * geom.R_S - 0.5 * geom.G_lplm
+    base = geom.K - 0.5 * geom.G_lplm
     ratio = geom.theta_p / (2.0 * geom.theta_m)
     return (base + ratio * (geom.chihat_m2 + geom.G_lmlm)
             + 0.75 * geom.theta_m * geom.theta_p)

@@ -33,5 +33,5 @@ def with_overrides(geom, mu=None, J_N=None, W_cov=None, dec=None):
             nb.W_nu = (new.W_cov[0, -1] * nb.nu_chart[0]
                        + new.W_cov[1, -1] * nb.nu_chart[1])
             new.boundary = nb
-    new.Q = 0.5 * new.R_S - new.mu - new.J_N - 0.5 * new.chi_p2
+    new.Q = new.K - new.mu - new.J_N - 0.5 * new.chi_p2
     return new

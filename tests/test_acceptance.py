@@ -6,9 +6,9 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from scipy import sparse
 
+from intrinsic_oracle import gauss_curvature
 from synthetic_fields import with_overrides
 from variation_oracle import NORMAL_N, variation_oracle
 from motslab import audits, cli, grids, initialdata as idata, spectra
@@ -221,7 +221,8 @@ def test_criterion_7_gauss_bonnet():
     tol = 1e-2 * 2.0 * np.pi
 
     def defect(metric, chi):
-        return total_curvature(metric) - 2.0 * np.pi * chi
+        return (total_curvature(metric, gauss_curvature(metric))
+                - 2.0 * np.pi * chi)
 
     def metrics(n):
         gs = make_grid(grids.SPHERE, n, 2 * n)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from synthetic_fields import with_overrides
-from motslab import audits, grids, initialdata as idata, spectra, surfaces
+from motslab import grids, initialdata as idata, spectra, surfaces
 from motslab.audits import (
     HOLDS,
     HYPOTHESIS_UNMET,
@@ -25,7 +25,7 @@ from motslab.audits import (
     compute_G_quantity,
     intrinsic_diameter,
 )
-from motslab.errors import DomainError, TopologyError, UnsupportedOperationError
+from motslab.errors import DomainError, UnsupportedOperationError
 from motslab.grids import make_grid
 from motslab.surfaces import (
     BallSupport,
@@ -219,7 +219,7 @@ def test_g_quantity_flat_and_hyperboloidal():
 ])
 def test_g_quantity_potential_is_qbar(data, chart):
     # the g-quantity operator's potential K + (theta+/2 theta-)|chihat_-|^2
-    # - G is the proof variant of Qbar (K = R_S / 2)
+    # - G is the proof variant of Qbar
     geom = compute_geometry(chart(make_grid(grids.SPHERE, 32, 64)), data)
     qbar = surfaces.qbar_potential(geom)
     by_hand = (geom.K + geom.theta_p / (2.0 * geom.theta_m) * geom.chihat_m2

@@ -4,8 +4,9 @@ The first variations of theta_+ and |H|^2 apply the (c, drift) of a
 stability operator, as ``surfaces`` defines it for ``spectra.assemble``, in
 strong form. The oracle compares them against central finite differences
 of the geometry ``surfaces.compute_geometry`` recomputes on displaced
-surfaces, so it checks what the solver assembles. Fourth-order stencils
-keep the strong form's truncation below the finite-difference error.
+surfaces, so it checks what the solver assembles. The fourth-order
+stencils of ``intrinsic_oracle`` keep the strong form's truncation below
+the finite-difference error.
 
 The second-order ``gradient`` and ``laplace_beltrami`` here are the
 references of ``grids.divergence`` in the grid tests.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from data_oracles import slice_family
+from intrinsic_oracle import d_u4, d_uu4, d_v4, d_vv4
 from motslab import grids
 from motslab.errors import UnsupportedOperationError
 from motslab.surfaces import (
@@ -44,8 +46,7 @@ def laplace_beltrami(metric, f):
 def gradient4(metric, f):
     """``gradient`` with fourth-order stencils."""
     g = metric.grid
-    return metric.raise_covector(grids.d_u4(g, f, parity=1.0),
-                                 grids.d_v4(g, f))
+    return metric.raise_covector(d_u4(g, f, parity=1.0), d_v4(g, f))
 
 
 def divergence4(metric, w):
@@ -61,10 +62,9 @@ def divergence4(metric, w):
     else:
         sing = 1.0 / U
         smooth = metric.sqrt_det / U
-    lu = sing + grids.d_u4(g, np.log(smooth), parity=1.0)
-    lv = 0.5 * grids.d_v4(g, metric.det) / metric.det
-    return (grids.d_u4(g, wu, parity=-1.0) + grids.d_v4(g, wv)
-            + wu * lu + wv * lv)
+    lu = sing + d_u4(g, np.log(smooth), parity=1.0)
+    lv = 0.5 * d_v4(g, metric.det) / metric.det
+    return d_u4(g, wu, parity=-1.0) + d_v4(g, wv) + wu * lu + wv * lv
 
 
 def strong_form(geom, coefficients, phi):
@@ -107,11 +107,11 @@ def delta_H2_minus_lminus(geom, phi):
 def _vector_field_jet(grid, X):
     """First and second grid derivatives of a Cartesian vector field
     X[i, u, v], with fourth-order stencils."""
-    du1 = np.stack([grids.d_u4(grid, c, 1.0) for c in X])
-    dv1 = np.stack([grids.d_v4(grid, c) for c in X])
-    duu1 = np.stack([grids.d_uu4(grid, c, 1.0) for c in X])
-    duv1 = np.stack([grids.d_v4(grid, grids.d_u4(grid, c, 1.0)) for c in X])
-    dvv1 = np.stack([grids.d_vv4(grid, c) for c in X])
+    du1 = np.stack([d_u4(grid, c, 1.0) for c in X])
+    dv1 = np.stack([d_v4(grid, c) for c in X])
+    duu1 = np.stack([d_uu4(grid, c, 1.0) for c in X])
+    duv1 = np.stack([d_v4(grid, d_u4(grid, c, 1.0)) for c in X])
+    dvv1 = np.stack([d_vv4(grid, c) for c in X])
     return du1, dv1, duu1, duv1, dvv1
 
 

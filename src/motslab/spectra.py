@@ -333,10 +333,10 @@ def factors(opmat):
     return factor
 
 
-def _backward_error(weak, mass, lam, x):
+def _backward_error(weak, knorm, mass, lam, x):
     """Normwise backward error |Kx - lam Mx| / ((|K| + |lam| |M|) |x|) of an
-    eigenpair of the pencil (K, M), in the max norm."""
-    knorm = float(abs(weak).sum(axis=1).max())
+    eigenpair of the pencil (K, M), in the max norm; ``knorm`` is |K|, the
+    largest absolute row sum of ``weak``."""
     resid = np.max(np.abs(weak @ x - lam * (mass * x)))
     return float(resid / ((knorm + abs(lam) * np.max(mass))
                           * np.max(np.abs(x))))
@@ -352,12 +352,14 @@ def _principal(weak, mass, factor, trans, delta):
     x -> (weak + delta M)^{-1} M x, enlarging delta until its dominant
     eigenvalue xi is real and positive with a one-signed eigenvector.
     Returns lambda, the eigenvector scaled to max 1, the number of
-    resolvent applications, and the final delta.
+    resolvent applications, the final delta, and the pair's backward error.
     """
+    knorm = float(abs(weak).sum(axis=1).max())
     ones = np.ones(mass.size)
     lam = float(np.sum(weak @ ones)) / float(np.sum(mass))
-    if _backward_error(weak, mass, lam, ones) <= _BACKWARD_TOL:
-        return lam, ones, 0, delta
+    err = _backward_error(weak, knorm, mass, lam, ones)
+    if err <= _BACKWARD_TOL:
+        return lam, ones, 0, delta, err
 
     applications = 0
     for _ in range(_SHIFT_ATTEMPTS):
@@ -389,12 +391,12 @@ def _principal(weak, mass, factor, trans, delta):
         raise IterationFailureError("could not find a positivity-improving "
                                     "shift for the resolvent")
     lam = float(1.0 / xi.real - delta)
-    err = _backward_error(weak, mass, lam, vec)
+    err = _backward_error(weak, knorm, mass, lam, vec)
     if err > _BACKWARD_TOL:
         raise IterationFailureError(
             f"principal eigenpair backward error {err:.2e} exceeds "
             f"{_BACKWARD_TOL:.0e}")
-    return lam, vec, applications, delta
+    return lam, vec, applications, delta, err
 
 
 def principal_eigenvalue(opmat, factor=None):
@@ -412,7 +414,7 @@ def principal_eigenvalue(opmat, factor=None):
     a backward error of 1e-12, else IterationFailureError. ``iterations``
     counts the resolvent applications and ``shift`` is the final delta.
     """
-    lam, vec, applications, delta = _principal(
+    lam, vec, applications, delta, err = _principal(
         opmat.weak, opmat.mass, factor or factors(opmat), "N", _shift(opmat))
     resid = (np.max(np.abs(opmat.weak @ vec / opmat.mass - lam * vec))
              / np.max(np.abs(vec)))
@@ -423,7 +425,7 @@ def principal_eigenvalue(opmat, factor=None):
         iterations=applications,
         positive=bool(np.min(vec) > 0.0),
         shift=delta,
-        backward_error=_backward_error(opmat.weak, opmat.mass, lam, vec),
+        backward_error=err,
         warnings=list(opmat.warnings))
 
 

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthetic_fields import with_overrides
-from motslab import grids, initialdata as idata, spectra, surfaces
+from motslab import audits, grids, initialdata as idata, spectra, surfaces
 from motslab.audits import (
     HOLDS,
     HYPOTHESIS_UNMET,
@@ -29,8 +30,10 @@ from motslab.errors import DomainError, UnsupportedOperationError
 from motslab.grids import make_grid
 from motslab.surfaces import (
     BallSupport,
+    PlaneSupport,
     cap_chart,
     compute_geometry,
+    ellipsoid_chart,
     flat_disk_chart,
     sphere_chart,
 )
@@ -418,6 +421,95 @@ def test_intrinsic_diameter_disk_and_sphere():
     sphere = grids.Metric2Field(g, np.full(g.shape, r * r), np.zeros(g.shape),
                                 (r * np.sin(U)) ** 2)
     assert abs(intrinsic_diameter(sphere) - np.pi * r) < 0.03 * np.pi * r
+
+
+def all_sources_diameter(metric):
+    """The largest finite distance over a Dijkstra search from every
+    sample source, with no pruning."""
+    dist = audits._csgraph_dijkstra(audits._edge_graph(metric),
+                                    directed=False,
+                                    indices=audits._diameter_sources(
+                                        metric.grid))
+    return float(np.max(dist[np.isfinite(dist)]))
+
+
+def _surface(kind, n, size, shape, m):
+    """Metric of a disk, cap, ellipsoid or off-centre sphere at n x 2n."""
+    disk, sphere = (make_grid(t, n, 2 * n) for t in (grids.DISK,
+                                                     grids.SPHERE))
+    a, b, c = shape
+    if kind == "flat":
+        chart, data = flat_disk_chart(disk, size, b), idata.minkowski_flat()
+    elif kind == "plane":
+        chart = flat_disk_chart(disk, size, b, support=PlaneSupport(b))
+        data = idata.schwarzschild_isotropic(m)
+    elif kind == "cap":
+        chart, data = cap_chart(disk, size), idata.schwarzschild_isotropic(m)
+    elif kind == "ellipsoid":
+        chart = ellipsoid_chart(sphere, size * a, size * b, size * c)
+        data = idata.schwarzschild_pg(m)
+    else:
+        chart = sphere_chart(sphere, size, tuple(0.3 * size * x
+                                                 for x in shape))
+        data = idata.schwarzschild_pg(m)
+    return compute_geometry(chart, data).metric
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(["flat", "plane", "cap", "ellipsoid", "sphere"]),
+       st.sampled_from([16, 32]), st.floats(0.5, 2.0),
+       st.tuples(*[st.floats(0.6, 1.4)] * 3), st.floats(0.05, 0.3))
+def test_pruned_diameter_is_the_all_sources_maximum(kind, n, size, shape, m):
+    # the eccentricity bounds skip sources, never the answer: the same
+    # float, to the bit, as searching from every sample source
+    metric = _surface(kind, n, size, shape, m)
+    assert intrinsic_diameter(metric) == all_sources_diameter(metric)
+
+
+def test_diameter_search_counts(monkeypatch):
+    # the audit-mix flat disk (cylinder support) needs at most 10 of its 31
+    # sample sources searched at 64x128; on a round sphere every source is
+    # as far from its antipode, so no bound can skip one
+    searched = []
+    search = audits._csgraph_dijkstra
+
+    def counting(graph, **kwargs):
+        searched.append(np.size(kwargs["indices"]))
+        return search(graph, **kwargs)
+
+    monkeypatch.setattr(audits, "_csgraph_dijkstra", counting)
+    flat = idata.minkowski_flat()
+    disk = compute_geometry(
+        flat_disk_chart(make_grid(grids.DISK, 64, 128), 1.3, 0.2), flat)
+    sphere = compute_geometry(
+        sphere_chart(make_grid(grids.SPHERE, 64, 128), 1.0), flat)
+    counts = []
+    for geom in (disk, sphere):
+        searched.clear()
+        intrinsic_diameter(geom.metric)
+        counts.append((sum(searched),
+                       audits._diameter_sources(geom.grid).size))
+    assert counts[0][1] == counts[1][1] == 31
+    assert counts[0][0] <= 10
+    assert counts[1][0] == 31
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_diameter_horizon_hemispheres_agree(n):
+    # The Schwarzschild horizon hemisphere on its plane of symmetry, in the
+    # isotropic (r = m/2) and PG (r = 2m) slicings: vacuum and a totally
+    # geodesic plane make mu - |J| and H_dM - <W, nu> zero, which rounding
+    # leaves at +-1e-16 with a sign that differs between the slicings. Both
+    # count as zero, so both audits find the bound empty, and no bound is
+    # divided by rounding noise.
+    reports = [audit_diameter(compute_geometry(
+        cap_chart(make_grid(grids.DISK, n, 2 * n), r), data))
+        for r, data in ((0.5, idata.schwarzschild_isotropic(1.0)),
+                        (2.0, idata.schwarzschild_pg(1.0)))]
+    for rep in reports:
+        assert rep.verdict == NOT_APPLICABLE
+        assert (rep.lhs, rep.rhs) == (0.0, 0.0)
+        assert "counts as zero" in rep.notes
 
 
 # ---------------------------------------------------------------------------

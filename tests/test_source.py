@@ -151,9 +151,34 @@ def test_every_public_function_is_referenced():
 
 
 # the records whose fields the scan below checks, by module
-RECORDS = {"initialdata.py": ("AmbientJet",),
+RECORDS = {"initialdata.py": ("InitialData", "AmbientJet"),
+           "grids.py": ("Metric2Field",),
            "surfaces.py": ("SurfaceChart", "SurfaceGeometry", "BoundaryData"),
            "spectra.py": ("OperatorMatrix", "EigenResult")}
+
+# the names that hold each record where the package reads its fields: a
+# read counts only through one of them (the last name before the field, or
+# the function whose call returns the record), or through ``self`` in the
+# record's own methods. The first name is the record's own; each other one
+# is listed with where it holds the record.
+HOLDERS = {
+    "InitialData": ("data",),
+    "AmbientJet": ("jet",
+                   "ring"),         # the last ring's jet, _boundary_data
+    "Metric2Field": ("metric",),
+    "SurfaceChart": ("chart",
+                     "surface"),    # compute_geometry's chart argument
+    "SurfaceGeometry": ("geom",
+                        "geometry"),    # OperatorMatrix.geometry, spectra
+    "BoundaryData": ("b",
+                     "boundary"),   # SurfaceGeometry.boundary
+    "OperatorMatrix": ("opmat",
+                       "op_L"),     # stability_verdict's operator of L
+    "EigenResult": ("res",
+                    "res_L", "res_Ls",      # stability_verdict, audits
+                    "result",               # cli.run_eigen
+                    "principal_eigenvalue"),    # the call returns it
+}
 
 # fields that nothing in the package reads, and why each stays
 UNREAD_FIELD_EXEMPT = {
@@ -161,7 +186,6 @@ UNREAD_FIELD_EXEMPT = {
     "SurfaceGeometry.k_S": "the definitional identity tests read it",
     "SurfaceGeometry.chi_p": "the definitional identity tests read it",
     "SurfaceGeometry.chihat_m": "the definitional identity tests read it",
-    "SurfaceGeometry.RicNN": "the Gauss-equation test reads it",
     "SurfaceGeometry.R_M": "the Gauss-equation test reads it",
     "BoundaryData.nu_chart": "tests/synthetic_fields.py recomputes W_nu",
     "BoundaryData.cos_gamma": "the free-boundary tests read it",
@@ -170,21 +194,61 @@ UNREAD_FIELD_EXEMPT = {
 
 
 def _record_fields(trees):
-    """(qualified name, name) of each field of the RECORDS classes."""
+    """(qualified name, name) of each field of the RECORDS classes: the
+    annotated fields of a dataclass, the ``self`` attributes that
+    ``__init__`` assigns otherwise."""
     for module, classes in RECORDS.items():
         for node in trees[module].body:
-            if isinstance(node, ast.ClassDef) and node.name in classes:
-                for field in node.body:
-                    if isinstance(field, ast.AnnAssign):
-                        yield f"{node.name}.{field.target.id}", field.target.id
+            if not (isinstance(node, ast.ClassDef) and node.name in classes):
+                continue
+            names = [f.target.id for f in node.body
+                     if isinstance(f, ast.AnnAssign)]
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    names += [t.attr for n in ast.walk(fn)
+                              if isinstance(n, ast.Assign)
+                              for target in n.targets
+                              for t in ast.walk(target)
+                              if isinstance(t, ast.Attribute)
+                              and isinstance(t.value, ast.Name)
+                              and t.value.id == "self"]
+            yield from ((f"{node.name}.{name}", name) for name in names)
+
+
+def _holder(node):
+    """The last name of the expression a field is read from."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _field_reads(tree):
+    """(record, field) of each attribute load through a HOLDERS name or
+    through ``self`` in a method of a record."""
+    held = {name: record for record, names in HOLDERS.items()
+            for name in names}
+    stack = [(None, tree)]
+    while stack:
+        owner, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) \
+                    and isinstance(child.ctx, ast.Load):
+                holder = _holder(child.value)
+                record = owner if holder == "self" else held.get(holder)
+                if record is not None:
+                    yield record, child.attr
+            stack.append((child.name if isinstance(child, ast.ClassDef)
+                          else owner, child))
 
 
 def _unread_fields():
     trees = _trees()
-    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    for qual, name in _record_fields(trees):
-        if name not in read and qual not in UNREAD_FIELD_EXEMPT:
+    read = {f"{record}.{name}" for tree in trees.values()
+            for record, name in _field_reads(tree)}
+    for qual, _ in _record_fields(trees):
+        if qual not in read and qual not in UNREAD_FIELD_EXEMPT:
             yield qual
 
 

@@ -582,7 +582,7 @@ def test_one_signed_check_with_positive_robin_q():
     q = free_boundary_q(ball)
     assert np.max(np.abs(q - 1.0)) < 1e-12
     op = operator(ball, mots_coefficients)
-    lam, vec, _, delta = spectra._principal(
+    lam, vec, _, delta, _ = spectra._principal(
         op.weak, op.mass, lambda d: spectra._factor(op, d), "N", 1.0)
     assert delta > 1.0
     assert np.min(vec) > 0.0
@@ -627,7 +627,7 @@ def test_scale_aware_shift_needs_fewer_applications():
             (heavy, mots_coefficients, 13, 16)):
         op = operator(geom, coefficients)
         res = principal_eigenvalue(op)
-        lam, _, applications, _ = spectra._principal(
+        lam, _, applications, _, _ = spectra._principal(
             op.weak, op.mass, spectra.factors(op), "N",
             max(0.0, -float(np.min(op.c))) + 1.0)
         assert (res.iterations, applications) == (scaled, unit)

@@ -21,7 +21,9 @@ runs of acceptance criterion 10, ``constraints`` on every catalog entry,
 ``hawking-bound`` on a de Sitter sphere, ``g-quantity`` and
 ``hawking-bound`` on an off-centre isotropic Schwarzschild sphere (where
 g(N, N) > 1 at some nodes, so Lambda (1 - g(N, N)) at Lambda = 0 is -0.0
-there), ``catalog``, a sweep, and spec strings that give a key twice.
+there), ``diameter`` on the isotropic and PG horizon hemispheres (where
+both infima are zero up to rounding), ``catalog``, a sweep, and spec
+strings that give a key twice.
 """
 
 import argparse
@@ -90,6 +92,13 @@ def corpus():
     runs += [["audit", "--theorem", theorem, "--data", "schwarzschild-iso:m=1",
               "--surface", "sphere:r=3,cx=0.3,cz=0.1", "--grid", "64x128"]
              for theorem in ("g-quantity", "hawking-bound")]
+    # horizon hemispheres on their planes of symmetry: both infima of the
+    # diameter audit are zero up to rounding, whose sign differs between
+    # the two slicings
+    runs += [["audit", "--theorem", "diameter", "--data", data,
+              "--surface", surface, "--grid", "64x128"]
+             for data, surface in (("schwarzschild-iso:m=1", "cap:r=0.5"),
+                                   ("schwarzschild-pg:m=1", "cap:r=2"))]
     runs += [["catalog"]]
     runs += [
         ["sweep", "--sweep-param", "data:m", "--sweep-from", "0.8",

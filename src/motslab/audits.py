@@ -280,7 +280,9 @@ def audit_cohn_vossen(geom, theta_tol=surfaces.THETA_TOL,
 
     Compact grids truncate the theorem's non-compact surface; the report
     records that the audit is indicative (a lower bound of the full
-    integral when the integrand is nonnegative).
+    integral when the integrand is nonnegative). min(mu - |J|) counts as
+    positive only above its floor (``_dec_floor``); the note names a
+    minimum that is not 0.0 but within it.
     """
     max_tp = float(np.max(np.abs(geom.theta_p)))
     is_mots = max_tp < theta_tol
@@ -290,16 +292,18 @@ def audit_cohn_vossen(geom, theta_tol=surfaces.THETA_TOL,
     stable = is_mots and np.isfinite(lam1) and lam1 >= -stab_tol
 
     dec_min = float(np.min(geom.mu - geom.j_norm))
+    floor = _dec_floor(geom)
 
     flags = [
         HypothesisFlag("is_mots", is_mots, max_tp),
         HypothesisFlag("stable", stable, lam1),
-        HypothesisFlag("dec_strictly_positive", dec_min > 0.0, dec_min),
+        HypothesisFlag("dec_strictly_positive", dec_min > floor, dec_min),
     ]
     lhs = integrate(geom.metric, geom.mu + geom.J_N)
     notes = ("surface is a compact truncation of the theorem's non-compact "
              "Sigma; the integral is monotone under enlargement for "
-             "nonnegative integrands.")
+             "nonnegative integrands"
+             + _zero_notes((("mu - |J|", dec_min, floor),)) + ".")
     return _finish("cohn-vossen", lhs, 2.0 * np.pi, flags, [], notes,
                    extras={"lambda1_L": lam1})
 
@@ -545,27 +549,41 @@ def audit_index_bounds(genus, boundary_components, index_s, c=None,
 _ZERO_SHARE = 1e-12
 
 
-def _term_floors(geom):
-    """Zero floors of inf(mu - |J|) and inf(H_dM - <W, nu>): _ZERO_SHARE
-    times the largest sum of the absolute terms each is made of at a node.
-    For mu - |J| those are mu, |J| and the terms of 2 mu = R + (tr k)^2 -
-    |k|^2, with R split by the Gauss equation, R = 2 K + 2 Ric(N, N) +
-    |A|^2 - H^2. For H_dM - <W, nu> they are |k| >= |<W, nu>| and the terms
-    g^ij Pi_ij of H_dM, bounded by max |g^kl| times the sum of |Pi_ij| over
-    every component of Pi = nabla Nbar, so that the connection terms
+def _dec_floor(geom):
+    """Zero floor of inf(mu - |J|): _ZERO_SHARE times the largest sum at a
+    node of the absolute terms it is made of, mu, |J| and the terms of
+    2 mu = R + (tr k)^2 - |k|^2, with R split by the Gauss equation,
+    R = 2 K + 2 Ric(N, N) + |A|^2 - H^2."""
+    terms = (np.abs(geom.mu) + geom.j_norm + np.abs(geom.K)
+             + np.abs(geom.RicNN)
+             + 0.5 * (geom.absA2 + geom.H**2 + geom.trk**2 + geom.absk2))
+    return _ZERO_SHARE * float(np.max(terms))
+
+
+def _boundary_floor(geom):
+    """Zero floor of inf(H_dM - <W, nu>): _ZERO_SHARE times the largest sum
+    at a boundary node of |k| >= |<W, nu>| and the terms g^ij Pi_ij of
+    H_dM, bounded by max |g^kl| times the sum of |Pi_ij| over every
+    component of Pi = nabla Nbar, so that the connection terms
     Gamma^k_ij Nbar_k count where g^ij is zero (g^-1 from the orthonormal
     frame N, nu and the unit boundary tangent)."""
-    dec_terms = (np.abs(geom.mu) + geom.j_norm + np.abs(geom.K)
-                 + np.abs(geom.RicNN)
-                 + 0.5 * (geom.absA2 + geom.H**2 + geom.trk**2 + geom.absk2))
     b = geom.boundary
     tau = geom.chart.Fv[:, -1] / np.sqrt(geom.metric.gvv[-1])
     ginv = sum(e[:, None] * e[None, :] for e in (b.normal, b.nu, tau))
-    boundary_terms = (np.max(np.abs(ginv), axis=(0, 1))
-                      * np.sum(np.abs(b.shape_op), axis=(0, 1))
-                      + np.sqrt(geom.absk2[-1]))
-    return (_ZERO_SHARE * float(np.max(dec_terms)),
-            _ZERO_SHARE * float(np.max(boundary_terms)))
+    terms = (np.max(np.abs(ginv), axis=(0, 1))
+             * np.sum(np.abs(b.shape_op), axis=(0, 1))
+             + np.sqrt(geom.absk2[-1]))
+    return _ZERO_SHARE * float(np.max(terms))
+
+
+def _zero_notes(infima):
+    """The note on each (name, value, floor) whose value is not 0.0 but
+    within its floor, so that it counts as zero."""
+    return "".join(
+        f"; inf({name}) = {value:.3g} counts as zero (floor {floor:.3g}, "
+        f"{_ZERO_SHARE:.0e} of its terms)"
+        for name, value, floor in infima
+        if value != 0.0 and abs(value) <= floor)
 
 
 def audit_diameter(geom, theta_tol=surfaces.THETA_TOL,
@@ -577,9 +595,9 @@ def audit_diameter(geom, theta_tol=surfaces.THETA_TOL,
         0 < inf(mu-|J|) H^2(Sigma) + inf(H_dM - <W,nu>) H^1(dSigma)
           <= 2 pi chi.
 
-    An infimum counts as positive above its floor (``_term_floors``) and as
-    nonnegative above minus its floor; the note names an infimum that is
-    not 0.0 but within its floor.
+    An infimum counts as positive above its floor (``_dec_floor``,
+    ``_boundary_floor``) and as nonnegative above minus its floor; the
+    note names an infimum that is not 0.0 but within its floor.
     """
     if geom.grid.topology != grids.DISK:
         raise TopologyError("the diameter estimate requires a disk")
@@ -589,18 +607,14 @@ def audit_diameter(geom, theta_tol=surfaces.THETA_TOL,
     b = geom.boundary
     inf1 = float(np.min(geom.mu - geom.j_norm))
     inf2 = float(np.min(b.H_dM - b.W_nu))
-    floor1, floor2 = _term_floors(geom)
+    floor1, floor2 = _dec_floor(geom), _boundary_floor(geom)
     pos1, pos2 = inf1 > floor1, inf2 > floor2
     case_i = pos1 and inf2 >= -floor2
     case_ii = inf1 >= -floor1 and pos2
     flags.append(HypothesisFlag("case_i_or_ii", case_i or case_ii,
                                 float(max(inf1, inf2))))
-    zeros = "".join(
-        f"; inf({name}) = {value:.3g} counts as zero (floor {floor:.3g}, "
-        f"{_ZERO_SHARE:.0e} of its terms)"
-        for name, value, floor in (("mu - |J|", inf1, floor1),
-                                   ("H_dM - <W, nu>", inf2, floor2))
-        if value != 0.0 and abs(value) <= floor)
+    zeros = _zero_notes((("mu - |J|", inf1, floor1),
+                         ("H_dM - <W, nu>", inf2, floor2)))
     if not (pos1 or pos2):
         return _finish("diameter", 0.0, 0.0, flags, [],
                        notes="both infima nonpositive; the bound is empty"

@@ -36,17 +36,6 @@ class ImmersionError(MotslabError):
     """Surface chart fails to be an immersion at some node."""
 
 
-class NotAMOTSError(MotslabError):
-    """Stability verdict requested on a surface that is not marginally trapped."""
-
-    def __init__(self, max_theta_plus, tol):
-        self.max_theta_plus = max_theta_plus
-        super().__init__(
-            f"surface is not a MOTS: max|theta_+| = {max_theta_plus:.3e} "
-            f"exceeds tolerance {tol:.1e}"
-        )
-
-
 class IterationFailureError(MotslabError):
     """Eigenvalue iteration failed to converge."""
 

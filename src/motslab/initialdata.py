@@ -26,7 +26,16 @@ it). When dg and ddg are both marked (a constant metric: Minkowski,
 Painleve-Gullstrand, the de Sitter flat slice), Gamma, d g^-1, Ric and R
 are zero fields and ddg is never evaluated. When k and dk are both marked
 (time-symmetric data: Minkowski, isotropic Schwarzschild), so are tr k,
-|k|^2, d tr k and J. Any unmarked evaluator takes the general path.
+|k|^2, d tr k and J.
+
+Conformally flat metrics g = psi^4 delta (isotropic Schwarzschild) are
+written once, as the jet of psi: ``conformally_flat`` returns the g, dg and
+ddg evaluators, each carrying the jet evaluator as the function attribute
+``psi``, which ``functools.wraps`` copies like ``vanishes``. When g, dg and
+ddg all carry the same psi, ``evaluate`` calls psi's jet once and forms
+Gamma, d g^-1 and Ric in closed form from it, and never calls g, dg or
+ddg. Any unmarked evaluator, or one marked with another psi, takes the
+general path.
 
 Index conventions are component-major, batch last: points are
 ``x[i, ...]``, and ``g[i, j, ...]``, ``dg[m, i, j, ...] = d_m g_ij``,
@@ -150,6 +159,41 @@ def hyperboloidal_flat(scale=1.0):
     )
 
 
+def conformally_flat(psi):
+    """Evaluators g, dg, ddg of the conformally flat metric g = psi^4 delta.
+
+    ``psi`` evaluates the jet of the conformal factor at points
+    ``x[i, ...]``: the triple (psi, d_m psi, d_l d_m psi), component-major.
+    Each evaluator carries ``psi`` as the function attribute ``psi``
+    (copied by ``functools.wraps``, like ``vanishes``), from which
+    ``evaluate`` builds the curvature of the metric in closed form.
+    """
+    def g(x):
+        p, _, _ = psi(np.asarray(x, dtype=float))
+        return _delta(p**4, p.shape)
+
+    def dg(x):
+        p, dp, _ = psi(np.asarray(x, dtype=float))
+        return _delta(4.0 * p**3 * dp, p.shape)
+
+    def ddg(x):
+        p, dp, ddp = psi(np.asarray(x, dtype=float))
+        return _delta(12.0 * p**2 * dp[:, None] * dp[None, :]
+                      + 4.0 * p**3 * ddp, p.shape)
+
+    for f in (g, dg, ddg):
+        f.psi = psi
+    return g, dg, ddg
+
+
+def _conformal_psi(*evaluators):
+    """The conformal factor's jet evaluator that all of ``evaluators``
+    carry, or None when one of them carries none or another one."""
+    psi = getattr(evaluators[0], "psi", None)
+    same = all(getattr(f, "psi", None) is psi for f in evaluators)
+    return psi if same else None
+
+
 def schwarzschild_isotropic(mass=1.0, excision_factor=0.05):
     """Time-symmetric Schwarzschild slice in isotropic coordinates.
 
@@ -162,42 +206,20 @@ def schwarzschild_isotropic(mass=1.0, excision_factor=0.05):
         raise ValueError("mass must be positive")
     r_min = excision_factor * m
 
-    # each evaluator forms psi's derivatives up to its own order only
-    def _psi(x):
-        x = np.asarray(x, dtype=float)
+    def psi(x):
         r = _norm(x)
-        return x, r, 1.0 + 0.5 * m / r
-
-    def _dpsi(x, r):
-        return (-0.5 * m / r**3) * x
-
-    def _ddpsi(x, r):
         ddpsi = (1.5 * m / r**5) * x[:, None] * x[None, :]
         for a in range(3):
             ddpsi[a, a] -= 0.5 * m / r**3
-        return ddpsi
+        return 1.0 + 0.5 * m / r, (-0.5 * m / r**3) * x, ddpsi
 
-    def g(x):
-        _, _, psi = _psi(x)
-        return _delta(psi**4, psi.shape)
-
-    def dg(x):
-        x, r, psi = _psi(x)
-        return _delta(4.0 * psi**3 * _dpsi(x, r), psi.shape)
-
-    def ddg(x):
-        x, r, psi = _psi(x)
-        dpsi = _dpsi(x, r)
-        return _delta(12.0 * psi**2 * dpsi[:, None] * dpsi[None, :]
-                      + 4.0 * psi**3 * _ddpsi(x, r), psi.shape)
-
-    data = InitialData(
+    g, dg, ddg = conformally_flat(psi)
+    return InitialData(
         name="schwarzschild_isotropic", params={"m": m},
         g=g, dg=dg, ddg=ddg, k=_zeros(2), dk=_zeros(3),
         in_domain=lambda x: _norm(np.asarray(x, dtype=float)) > r_min,
         cosmological_constant=0.0,
     )
-    return data
 
 
 def schwarzschild_pg(mass=1.0, excision_factor=0.05):
@@ -375,6 +397,33 @@ def _inverse(g):
     return ginv
 
 
+def _conformal_curvature(psi, dpsi, ddpsi):
+    """Gamma^i_jk, d_m g^ij and Ric_jk of g = psi^4 delta from the jet of
+    psi, component-major:
+
+        Gamma^i_jk = 2 psi^-1 (delta^i_j d_k psi + delta^i_k d_j psi
+                               - delta_jk d_i psi),
+        d_m g^ij = -4 psi^-5 d_m psi delta^ij,
+        Ric_jk = -2 psi^-1 d_j d_k psi + 6 psi^-2 d_j psi d_k psi
+                 - delta_jk (2 psi^-1 Laplace psi + 2 psi^-2 |d psi|^2).
+    """
+    batch = psi.shape
+    inv = 1.0 / psi
+    u = (2.0 * inv) * dpsi
+    gam = np.zeros((3, 3, 3) + batch)
+    for a in range(3):
+        gam[a, a] += u
+        gam[a, :, a] += u
+        gam[:, a, a] -= u
+    dginv = _delta(-4.0 * inv**5 * dpsi, batch)
+    ric = (6.0 * inv**2) * dpsi[:, None] * dpsi[None, :] - (2.0 * inv) * ddpsi
+    trace = (2.0 * inv) * (ddpsi[0, 0] + ddpsi[1, 1] + ddpsi[2, 2]) \
+        + (2.0 * inv**2) * dot(dpsi, dpsi)
+    for a in range(3):
+        ric[a, a] -= trace
+    return gam, dginv, ric
+
+
 def evaluate(data, x):
     """Evaluate the ambient jet of ``data`` at points ``x[i, ...]``.
 
@@ -401,23 +450,35 @@ def evaluate(data, x):
     tr k, |k|^2, d tr k and J. Zero fields are read-only zero-stride views
     of the shapes the general path gives, and mu and |J| come from the same
     formulas either way, so the jet has the same values.
+
+    When g, dg and ddg all carry the same ``psi`` mark of
+    ``conformally_flat`` (g = psi^4 delta), psi's jet is called once and
+    none of the three is: g = psi^4 delta goes through the same inverse,
+    and Gamma, d g^-1 and Ric come from ``_conformal_curvature``. They
+    equal the general path's fields up to rounding.
     """
     x = np.ascontiguousarray(x, dtype=float)
     data.check_domain(x)
     batch = x.shape[1:]
-    g = data.g(x)
-    ginv = _inverse(g)
-    dg = data.dg(x)
     flat = _vanish(data.dg, data.ddg)
-    ddg = None if flat else data.ddg(x)
+    psi = _conformal_psi(data.g, data.dg, data.ddg)
+    if psi is None:
+        g = data.g(x)
+        dg = data.dg(x)
+    else:
+        p, dp, ddp = psi(x)
+        g = _delta(p**4, batch)
+    ginv = _inverse(g)
     k = data.k(x)
     dk = data.dk(x)
 
     if flat:
         gam = dginv = _zero((3, 3, 3) + batch)
         ric = _zero((3, 3) + batch)
-        scal = _zero(batch)
+    elif psi is not None:
+        gam, dginv, ric = _conformal_curvature(p, dp, ddp)
     else:
+        ddg = data.ddg(x)
         # A[l, j, k] = d_j g_lk + d_k g_jl - d_l g_jk
         A = dg.swapaxes(0, 1) + dg.swapaxes(0, 2) - dg
         gam = 0.5 * np.einsum("il...,ljk...->ijk...", ginv, A)
@@ -439,7 +500,8 @@ def evaluate(data, x):
         ric = (0.5 * (cross + cross.swapaxes(0, 1) - box - hess_ln + first)
                + quad)
         del cross, box, hess_ln, first, quad
-        scal = np.einsum("ij...,ij...->...", ginv, ric)
+    scal = (_zero(batch) if flat
+            else np.einsum("ij...,ij...->...", ginv, ric))
 
     if _vanish(data.k, data.dk):
         trk = k2 = _zero(batch)

@@ -54,7 +54,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from . import grids, surfaces
-from .errors import IterationFailureError, NotAMOTSError, TopologyError
+from .errors import IterationFailureError, TopologyError
 
 
 @dataclass
@@ -437,40 +437,3 @@ def adjoint_eigenvalue(opmat, factor, delta):
     accuracy; a symmetric pencil is its own adjoint."""
     return _principal(opmat.weak.T, opmat.mass, factor, "T", delta)[0]
 
-
-# ---------------------------------------------------------------------------
-# verdicts
-
-
-@dataclass
-class StabilityVerdict:
-    lambda1_L: float
-    lambda1_Ls: float
-    stable: bool
-    comparison_ok: bool | None
-    max_theta_plus: float
-    q_max: float | None
-
-
-def stability_verdict(geometry):
-    """Stability of a MOTS (max |theta_+| < THETA_TOL): lambda_1 of the
-    full operator, stable when it is at least -STAB_TOL, and the symmetric
-    comparison lambda_1(L) <= lambda_1(L_s) when q <= 0."""
-    max_tp = float(np.max(np.abs(geometry.theta_p)))
-    if max_tp >= surfaces.THETA_TOL:
-        raise NotAMOTSError(max_tp, surfaces.THETA_TOL)
-    op_L = assemble(geometry, *surfaces.mots_coefficients(geometry))
-    q_max = None if op_L.robin_q is None else float(np.max(op_L.robin_q))
-    res_L = principal_eigenvalue(op_L)
-    res_Ls = principal_eigenvalue(assemble(
-        geometry, *surfaces.symmetrized_coefficients(geometry)))
-    comparison = None
-    if q_max is None or q_max <= 0.0:
-        comparison = bool(res_L.lambda1 <= res_Ls.lambda1 + 1e-7)
-    return StabilityVerdict(
-        lambda1_L=res_L.lambda1,
-        lambda1_Ls=res_Ls.lambda1,
-        stable=bool(res_L.lambda1 >= -surfaces.STAB_TOL),
-        comparison_ok=comparison,
-        max_theta_plus=max_tp,
-        q_max=q_max)

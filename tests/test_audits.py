@@ -144,6 +144,29 @@ def test_cohn_vossen_horizon_flag_logic():
     assert rep.rhs == pytest.approx(2.0 * np.pi)
 
 
+@pytest.mark.parametrize("m", [1.0, 1.3])
+def test_cohn_vossen_rounding_is_not_a_sign(m):
+    # the Schwarzschild horizon is vacuum, so min(mu - |J|) is zero up to
+    # rounding of either sign, in both slicings. Below the dec floor it is
+    # no strict sign: the flag stays unmet, and the note names the value.
+    for r, data in ((0.5 * m, idata.schwarzschild_isotropic(m)),
+                    (2.0 * m, idata.schwarzschild_pg(m))):
+        geom = sphere_geom(r, data, n=32)
+        dec_min = float(np.min(geom.mu - geom.j_norm))
+        for shift in (0.0, 2.0 * abs(dec_min)):
+            rep = audit_cohn_vossen(replace(geom, mu=geom.mu + shift))
+            flag = rep.flag("dec_strictly_positive")
+            assert not flag.satisfied
+            assert rep.verdict == HYPOTHESIS_UNMET
+            if flag.evidence != 0.0:
+                assert f"inf(mu - |J|) = {flag.evidence:.3g} counts as zero" \
+                    in rep.notes
+    # clear of the floor, a positive minimum is a sign
+    rep = audit_cohn_vossen(injected(sphere_geom(1.0), 1e-6))
+    assert rep.flag("dec_strictly_positive").satisfied
+    assert "counts as zero" not in rep.notes
+
+
 def test_cohn_vossen_synthetic_injection():
     r = 1.7
     geom = sphere_geom(r)

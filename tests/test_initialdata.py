@@ -297,29 +297,48 @@ def _rewrap(data, wrap):
         cosmological_constant=data.cosmological_constant)
 
 
+def _strip_marks(data):
+    """The same entry through plain lambdas, which carry no mark, so that
+    evaluate takes the general path."""
+    return _rewrap(data, lambda name, f: lambda x: f(x))
+
+
+def _assert_same_jet(fast, slow, rel):
+    """Every jet field of ``fast`` within ``rel`` of the field's scale
+    max(1, max|field|) of ``slow``; bit for bit when ``rel`` is 0."""
+    for name in _JET_FIELDS:
+        got, expected = getattr(fast, name), getattr(slow, name)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(got - expected)) <= rel * scale, name
+        if rel == 0.0:
+            assert np.array_equal(got, expected), name
+
+
 @pytest.mark.parametrize(
     "entry", idata.catalog() + [idata.hyperboloidal_flat(2.0),
                                 idata.schwarzschild_pg(0.7)], ids=repr)
 def test_zero_field_shortcut_gives_the_general_jet(entry):
-    # a plain lambda carries no zero-field mark, so evaluate takes the
-    # general path and contracts the zero fields out in full
-    general = _rewrap(entry, lambda name, f: lambda x: f(x))
+    # the general path contracts the zero fields out in full, and gives the
+    # zero-marked entries' jets to the bit. Isotropic Schwarzschild's
+    # closed-form conformal curvature sums in another order, so it agrees
+    # to rounding only.
+    rel = 1e-13 if hasattr(entry.g, "psi") else 0.0
     grid = grids.make_grid(grids.SPHERE, 12, 24)
     nodes = surfaces.sphere_chart(grid, 1.0, (0.1, -0.2, 0.3)).F
     for x in (nodes, sample_points(entry, 30, seed=11)):
-        fast, slow = idata.evaluate(entry, x), idata.evaluate(general, x)
-        for name in _JET_FIELDS:
-            assert np.array_equal(getattr(fast, name), getattr(slow, name)), \
-                name
+        _assert_same_jet(idata.evaluate(entry, x),
+                         idata.evaluate(_strip_marks(entry), x), rel)
 
 
-@pytest.mark.parametrize("entry, ddg_calls", [
-    (idata.schwarzschild_pg(1.0), 0), (idata.minkowski_flat(), 0),
-    (idata.hyperboloidal_flat(), 0), (idata.schwarzschild_isotropic(1.0), 1)],
-    ids=repr)
-def test_wrapped_zero_evaluators_keep_the_shortcut(entry, ddg_calls):
+@pytest.mark.parametrize("entry, ddg_calls, g_calls", [
+    (idata.schwarzschild_pg(1.0), 0, 1), (idata.minkowski_flat(), 0, 1),
+    (idata.hyperboloidal_flat(), 0, 1),
+    (idata.schwarzschild_isotropic(1.0), 0, 0)], ids=repr)
+def test_wrapped_zero_evaluators_keep_the_shortcut(entry, ddg_calls, g_calls):
     # a timing wrapper made with functools.wraps, as a tracer makes it,
-    # copies the mark, so traced runs skip the same work as untraced ones
+    # copies the marks, so traced runs skip the same work as untraced ones;
+    # a conformally flat metric comes from its factor's jet alone, so g and
+    # dg are called once each (g_calls) or not at all
     calls = collections.Counter()
 
     def wrap(name, f):
@@ -331,7 +350,8 @@ def test_wrapped_zero_evaluators_keep_the_shortcut(entry, ddg_calls):
 
     idata.evaluate(_rewrap(entry, wrap), sample_points(entry, 10))
     assert calls["ddg"] == ddg_calls
-    assert [calls[name] for name in ("g", "dg", "k", "dk")] == [1, 1, 1, 1]
+    assert [calls[name] for name in ("g", "dg", "k", "dk")] == \
+        [g_calls, g_calls, 1, 1]
 
 
 def test_unmarked_evaluator_is_never_skipped():
@@ -347,3 +367,59 @@ def test_unmarked_evaluator_is_never_skipped():
     jet = idata.evaluate(pg, sample_points(pg, 10))
     assert np.min(np.abs(jet.R)) > 1.0
     assert np.min(np.abs(jet.ric[0, 0])) > 1.0
+
+
+def _puncture_psi(masses, centres):
+    """The jet of the Brill-Lindquist factor psi = 1 + sum_i m_i /
+    (2 |x - c_i|)."""
+    def psi(x):
+        p, dp, ddp = 1.0, 0.0, 0.0
+        for m, c in zip(masses, centres):
+            y = x - np.reshape(c, (3,) + (1,) * (x.ndim - 1))
+            r = np.sqrt(np.einsum("i...,i...->...", y, y))
+            p = p + 0.5 * m / r
+            dp = dp - (0.5 * m / r**3) * y
+            ddp = (ddp + (1.5 * m / r**5) * y[:, None] * y[None, :]
+                   - (0.5 * m / r**3)
+                   * np.eye(3).reshape((3, 3) + (1,) * (x.ndim - 1)))
+        return p, dp, ddp
+    return psi
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_conformal_jet_matches_the_general_path(seed, punctures):
+    # several punctures break the spherical symmetry an index slip could
+    # hide behind; a constant k that is not marked zero sends Gamma and
+    # d g^-1 through J as well
+    rng = np.random.default_rng(seed)
+    masses = rng.uniform(0.2, 2.0, punctures)
+    centres = rng.uniform(-1.0, 1.0, (punctures, 3))
+    k0 = _sym(rng.uniform(-1.0, 1.0, (3, 3)), 0, 1)
+    g, dg, ddg = idata.conformally_flat(_puncture_psi(masses, centres))
+    data = idata.InitialData(
+        name="punctures", params={}, g=g, dg=dg, ddg=ddg,
+        k=lambda x: np.broadcast_to(
+            k0.reshape((3, 3) + (1,) * (x.ndim - 1)), (3, 3) + x.shape[1:]),
+        dk=lambda x: np.zeros((3, 3, 3) + x.shape[1:]),
+        in_domain=lambda x: np.ones(np.shape(x)[1:], dtype=bool),
+        cosmological_constant=0.0)
+    x = rng.uniform(-2.0, 2.0, (3, 400))
+    gap = np.linalg.norm(x[:, None] - centres.T[:, :, None], axis=0)
+    x = x[:, np.min(gap, axis=0) > 0.3].reshape(3, -1, 1)
+    _assert_same_jet(idata.evaluate(data, x),
+                     idata.evaluate(_strip_marks(data), x), 1e-13)
+
+
+@pytest.mark.parametrize("swap", ["unmarked", "other psi"])
+def test_conformal_path_needs_one_psi_on_every_metric_evaluator(swap):
+    # iso m = 1 with the second derivatives of the m = 2 metric: the ddg
+    # that evaluate reads is then not that of g, so R = 0 fails wherever
+    # the swap reaches Ricci, as it must
+    iso = idata.schwarzschild_isotropic(1.0)
+    other = idata.schwarzschild_isotropic(2.0)
+    iso.ddg = (lambda x: other.ddg(x)) if swap == "unmarked" else other.ddg
+    pts = sample_points(iso, 10)
+    assert np.min(np.abs(idata.evaluate(iso, pts).R)) > 1e-2
+    assert np.max(np.abs(idata.evaluate(
+        idata.schwarzschild_isotropic(1.0), pts).R)) < 1e-12

@@ -108,7 +108,6 @@ def test_surface_layer_holds_one_layout():
 
 # public names that nothing in the package calls, and why each stays
 UNREFERENCED_EXEMPT = {
-    "stability_verdict": "becomes the stability audit (ROADMAP item 6)",
     "AuditReport.flag": "the report's lookup of a flag by name",
     "_Parser.error": "argparse calls it on bad input",
 }
@@ -172,10 +171,9 @@ HOLDERS = {
                         "geometry"),    # OperatorMatrix.geometry, spectra
     "BoundaryData": ("b",
                      "boundary"),   # SurfaceGeometry.boundary
-    "OperatorMatrix": ("opmat",
-                       "op_L"),     # stability_verdict's operator of L
+    "OperatorMatrix": ("opmat",),
     "EigenResult": ("res",
-                    "res_L", "res_Ls",      # stability_verdict, audits
+                    "res_L", "res_Ls",      # audits
                     "result",               # cli.run_eigen
                     "principal_eigenvalue"),    # the call returns it
 }

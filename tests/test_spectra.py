@@ -13,7 +13,6 @@ from synthetic_fields import with_overrides
 from motslab import grids, initialdata as idata, spectra, surfaces
 from motslab.errors import (
     IterationFailureError,
-    NotAMOTSError,
     TopologyError,
     UnsupportedOperationError,
 )
@@ -21,7 +20,6 @@ from motslab.grids import make_grid
 from motslab.spectra import (
     assemble,
     principal_eigenvalue,
-    stability_verdict,
 )
 from motslab.surfaces import (
     capillary_q,
@@ -332,18 +330,32 @@ def test_lambda1_refinement_invariance():
     assert abs(rich1 - rich2) < 5e-3 * abs(rich2)
 
 
-def test_stability_verdict_cases():
-    verdict = stability_verdict(horizon_geom(32))
-    assert verdict.stable
-    assert abs(verdict.lambda1_L - verdict.lambda1_Ls) < 1e-9
-    assert verdict.comparison_ok
+def mots_and_symmetrized_lambda1(geom):
+    """lambda_1 of L and of L_s on a MOTS (max |theta_+| < THETA_TOL), and
+    the Robin q of L (None on a sphere)."""
+    assert np.max(np.abs(geom.theta_p)) < surfaces.THETA_TOL
+    c, drift, q = mots_coefficients(geom)
+    lam_L = principal_eigenvalue(assemble(geom, c, drift, q)).lambda1
+    lam_Ls = principal_eigenvalue(
+        operator(geom, symmetrized_coefficients)).lambda1
+    return lam_L, lam_Ls, q
 
-    with pytest.raises(NotAMOTSError):
-        stability_verdict(unit_sphere_geom(16))
 
-    disk = neumann_disk_geom(32)
-    v = stability_verdict(disk)
-    assert v.stable and abs(v.lambda1_L) < 1e-8 and v.comparison_ok
+def test_stability_and_symmetric_comparison_cases():
+    # the horizon is a stable MOTS with W = 0, so L = L_s
+    lam_L, lam_Ls, q = mots_and_symmetrized_lambda1(horizon_geom(32))
+    assert lam_L >= -surfaces.STAB_TOL
+    assert abs(lam_L - lam_Ls) < 1e-9
+    assert q is None and lam_L <= lam_Ls + 1e-7
+
+    # the unit sphere in Minkowski data is no MOTS (theta_+ = 2)
+    sphere = unit_sphere_geom(16)
+    assert np.max(np.abs(sphere.theta_p)) >= surfaces.THETA_TOL
+
+    # the Neumann disk: q = 0, lambda_1 = 0 with a constant eigenfunction
+    lam_L, lam_Ls, q = mots_and_symmetrized_lambda1(neumann_disk_geom(32))
+    assert lam_L >= -surfaces.STAB_TOL and abs(lam_L) < 1e-8
+    assert np.max(q) <= 0.0 and lam_L <= lam_Ls + 1e-7
 
 
 def test_robin_capillary_coefficient_and_guards():
@@ -388,18 +400,17 @@ def test_hstab_operators_assemble():
         operator(geom_in, hstab_normal_coefficients)
 
 
-def test_stability_verdict_manufactured_gradient_w():
+def test_symmetric_comparison_manufactured_gradient_w():
     # Horizon geometry with an injected gradient connection form stays a
-    # MOTS; the symmetric comparison inequality is checked on the verdict.
+    # MOTS; lambda_1(L) <= lambda_1(L_s) holds on it (q is None).
     geom = horizon_geom(32)
     U, _ = geom.grid.meshgrid()
     h = 0.25 * np.cos(U)
     w_cov = np.stack([grids.d_u(geom.grid, h, 1.0),
                       grids.d_v(geom.grid, h)])
     synth = with_overrides(geom, W_cov=w_cov)
-    verdict = stability_verdict(synth)
-    assert verdict.comparison_ok
-    assert verdict.lambda1_L <= verdict.lambda1_Ls + 1e-7
+    lam_L, lam_Ls, q = mots_and_symmetrized_lambda1(synth)
+    assert q is None and lam_L <= lam_Ls + 1e-7
 
 
 def test_positive_robin_q_warning_recorded():

@@ -76,9 +76,23 @@ def _count_ddg(data):
     return calls
 
 
+def _count_psi(data):
+    """Rebuild the conformally flat metric of ``data`` from a counted copy
+    of its factor's jet; the list records each call's point-set shape."""
+    calls = []
+    psi = data.g.psi
+
+    def counted(x):
+        calls.append(x.shape[1:])
+        return psi(x)
+
+    data.g, data.dg, data.ddg = idata.conformally_flat(counted)
+    return calls
+
+
 def test_one_ambient_evaluation_per_point_set():
     data = idata.schwarzschild_isotropic(1.0)
-    calls = _count_ddg(data)
+    calls = _count_psi(data)
     geom = compute_geometry(sphere_chart(make_grid(grids.SPHERE, 16, 32), 0.5),
                             data)
     assert len(calls) == 1

@@ -145,11 +145,12 @@ def run_corpus(root):
 
 
 def compare(first, second):
-    """The argv (joined) whose entries differ or appear in one record."""
+    """The argv (joined) whose entries differ or appear in one record, and
+    the number of distinct command lines the two records hold."""
     a, b = ({" ".join(r["argv"]): r for r in rec["runs"]}
             for rec in (first, second))
-    return [key for key in list(a) + [k for k in b if k not in a]
-            if a.get(key) != b.get(key)]
+    keys = list(a) + [k for k in b if k not in a]
+    return [key for key in keys if a.get(key) != b.get(key)], len(keys)
 
 
 def main(argv=None):
@@ -163,10 +164,10 @@ def main(argv=None):
     if args.compare:
         first, second = (json.loads(Path(p).read_text(encoding="utf-8"))
                          for p in args.compare)
-        diff = compare(first, second)
+        diff, total = compare(first, second)
         for key in diff:
             print(f"differs: {key}")
-        print(f"{len(diff)} of {len(first['runs'])} command lines differ")
+        print(f"{len(diff)} of {total} command lines differ")
         return 1 if diff else 0
     if not args.out:
         parser.error("--out is required unless --compare is given")

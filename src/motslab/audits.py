@@ -152,10 +152,13 @@ def intrinsic_diameter(metric):
 
     The largest finite graph distance from a fixed sample of source nodes
     (``_diameter_sources``), that is the largest eccentricity ecc(s) of a
-    sample source. The estimate is too long at first order in the grid
-    spacing: the unit round sphere gives 3.1821, 3.1636 and 3.1533 at
-    32x64, 64x128 and 128x256 against pi, and the flat unit disk 2.0071 at
-    64x128.
+    sample source. Graph distances are consistent only along grid lines
+    (ROADMAP item 13). Where a diameter runs along them the estimate is too
+    long at first order: the unit round sphere gives 3.1821, 3.1636 and
+    3.1533 at 32x64, 64x128 and 128x256 against pi, and the flat unit disk
+    2.0071 at 64x128. Elsewhere the error stalls: the unit sphere charted
+    about a point (0.3, 0.2, 0.1) from its centre reads diameter - pi =
+    0.0469, 0.0319, 0.0236 and 0.0228 at 16x32 ... 128x256.
 
     Not every source is searched. A search from s' gives ecc(s') and
     d(s', s) for every source s, and the triangle inequality bounds

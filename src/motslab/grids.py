@@ -11,10 +11,10 @@ for smooth fields pulled back from the surface. Tensor components pick up a
 sign per u index (parity -1), scalars continue evenly (parity +1). At the
 disk boundary ring one-sided second-order stencils are used.
 
-On these stencils sit the metric divergence, the area and boundary
-quadratures, and the boundary geodesic curvature. ``total_curvature`` is
-the Gauss-Bonnet sum of a Gauss curvature it is given, which the surface
-layer takes from the Gauss equation.
+On these stencils sit the metric divergence and the boundary geodesic
+curvature; ``make_grid`` stores the area quadrature, one weight per ring.
+``total_curvature`` is the Gauss-Bonnet sum of a Gauss curvature it is
+given, which the surface layer takes from the Gauss equation.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +48,8 @@ class Grid2:
         Grid spacings.
     boundary_index : ndarray
         Flat node ids of the boundary ring (empty for the sphere).
+    ring_weights : ndarray
+        Quadrature weight per ring (see ``make_grid`` and ``integrate``).
     """
 
     topology: str
@@ -58,6 +60,7 @@ class Grid2:
     du: float
     dv: float
     boundary_index: np.ndarray = field(repr=False)
+    ring_weights: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self):
@@ -78,9 +81,14 @@ class Grid2:
 def make_grid(topology, n_u, n_v):
     """Build a Grid2.
 
-    Sphere: u_i = (i + 1/2) * pi/n_u, cell-centered away from the poles.
+    Sphere: u_i = (i + 1/2) * pi/n_u, cell-centered away from the poles:
+    the nodes of Fejer's first rule (Waldvogel, BIT 46, 195 (2006)), whose
+    weights w_i integrate h(u) sin u exactly for h a polynomial in cos u of
+    degree below n_u; the ring weight is w_i / sin u_i.
     Disk:   u_i = (i + 1/2) / (n_u - 1/2), so the last ring sits exactly
-    at u = 1 and the first ring is half a cell away from the center.
+    at u = 1 and the first ring is half a cell away from the center; the
+    ring weights are the midpoint rule with Euler-Maclaurin corrections from
+    one-sided slopes, du [7/8, 1 + 1/72, 1, ..., 1, 1 - 1/24, 1 + 1/6, 3/8].
     """
     if topology not in (SPHERE, DISK):
         raise TopologyError(f"unknown topology {topology!r}")
@@ -96,12 +104,17 @@ def make_grid(topology, n_u, n_v):
         du = np.pi / n_u
         u = du * (np.arange(n_u) + 0.5)
         boundary = np.array([], dtype=int)
+        j = np.arange(1, n_u // 2 + 1)
+        weights = (2.0 / n_u) * (1.0 - 2.0 * np.cos(2.0 * np.outer(u, j))
+                                 @ (1.0 / (4.0 * j * j - 1.0))) / np.sin(u)
     else:
         du = 1.0 / (n_u - 0.5)
         u = du * (np.arange(n_u) + 0.5)
         u[-1] = 1.0
         boundary = (n_u - 1) * n_v + np.arange(n_v)
-    return Grid2(topology, n_u, n_v, u, v, du, dv, boundary)
+        weights = du * np.array([7 / 8, 1 + 1 / 72] + [1.0] * (n_u - 5)
+                                + [1 - 1 / 24, 1 + 1 / 6, 3 / 8])
+    return Grid2(topology, n_u, n_v, u, v, du, dv, boundary, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +272,11 @@ def divergence(metric, w):
 
 
 def integrate(metric, f):
-    """Area integral of a scalar field.
-
-    Midpoint quadrature per cell, plus Euler-Maclaurin endpoint corrections
-    in u built from the one-sided slopes of the v-summed integrand (the
-    area density vanishes at poles and at the disk center, so the slope
-    terms are the entire O(h^2) endpoint defect). The correction lifts the
-    quadrature to roughly fourth order on smooth fields.
-    """
+    """Area integral of a scalar field: the grid's ring weights applied to
+    the v-sums of f sqrt(g), times dv (see ``make_grid``)."""
     _check_finite("integrate", f)
     g = metric.grid
-    base = float(np.sum(f * metric.dmu))
-    row = np.sum(f * metric.sqrt_det, axis=1) * g.dv
-    h = g.du
-    slope0 = (9.0 * row[0] - row[1]) / (3.0 * h)
-    if g.topology == SPHERE:
-        slope_pi = -(9.0 * row[-1] - row[-2]) / (3.0 * h)
-        corr = h**2 / 24.0 * (slope_pi - slope0)
-    else:
-        slope1 = (3.0 * row[-1] - 4.0 * row[-2] + row[-3]) / (2.0 * h)
-        corr = -(h**2) * (slope1 / 12.0 + slope0 / 24.0)
-    return base + corr
+    return float(g.dv * (g.ring_weights @ np.sum(f * metric.sqrt_det, axis=1)))
 
 
 def boundary_integrate(metric, f_boundary):

@@ -3,13 +3,17 @@
 The package takes K from the Gauss equation (``surfaces.compute_geometry``),
 so the tests check it, and the Gauss-Bonnet sum ``grids.total_curvature``,
 against Brioschi's formula on the induced metric alone. Brioschi divides by
-det(g)^2, which the polar chart sends to 0 at the poles; the band of rings
-nearest the chart degeneracy takes fourth-order stencils. The same
-fourth-order stencils keep the strong form of ``variation_oracle`` below
-its finite-difference error.
+det(g)^2, which the polar chart sends to 0 at the poles, so stencil errors
+are amplified there. On sphere grids the metric derivatives are therefore
+spectral, on the double Fourier sphere: each field is continued across both
+poles to u in (0, 2 pi), where the doubled cell-centred nodes are
+equispaced and periodic. On disk grids the band of rings nearest the centre
+takes fourth-order stencils. The same fourth-order stencils keep the strong
+form of ``variation_oracle`` below its finite-difference error.
 """
 
 import numpy as np
+from scipy import fft
 
 from motslab.grids import SPHERE, _antipode, d_u, d_uu, d_v, d_vv
 
@@ -82,6 +86,34 @@ def d_uu4(grid, f, parity=1.0):
     return out
 
 
+def _fourier(f, order, axis):
+    """``order``-th derivative of a field that is 2 pi-periodic along
+    ``axis`` on equispaced nodes, by FFT (the Nyquist mode of an odd
+    derivative dropped)."""
+    n = f.shape[axis]
+    factor = (1j * np.arange(n // 2 + 1)) ** order
+    if order % 2 and n % 2 == 0:
+        factor[-1] = 0.0
+    shape = [1] * f.ndim
+    shape[axis] = factor.size
+    return fft.irfft(factor.reshape(shape) * fft.rfft(f, axis=axis), n,
+                     axis=axis)
+
+
+def _dfs_u(order):
+    """Spectral ``order``-th u derivative on a sphere grid: the field is
+    doubled across the poles by f(2 pi - u, v) = parity f(u, v + pi)."""
+    def deriv(grid, f, parity=1.0):
+        doubled = np.concatenate([f, parity * _antipode(f[::-1])], axis=0)
+        return _fourier(doubled, order, 0)[: grid.n_u]
+    return deriv
+
+
+def _dfs_v(order):
+    """Spectral ``order``-th v derivative."""
+    return lambda grid, f: _fourier(f, order, 1)
+
+
 def _brioschi(metric, stencils):
     """Brioschi's K with the stencils (d_u, d_v, d_uu, d_vv) of one order."""
     g = metric.grid
@@ -118,18 +150,18 @@ def _brioschi(metric, stencils):
 def gauss_curvature(metric):
     """Gauss curvature from the Brioschi formula in the (u, v) chart.
 
-    Metric derivatives use parity-aware stencils (g_uu and g_vv continue
-    evenly across the pole, g_uv oddly). Brioschi divides by det(g)^2,
-    which amplifies stencil truncation by 1/u^2 toward the chart
-    degeneracy, so a band of rings nearest the pole (or disk center) is
-    evaluated with fourth-order stencils while the rest uses second order;
-    the result is uniformly second-order accurate in the max norm.
+    Metric derivatives are parity-aware (g_uu and g_vv continue evenly
+    across the pole, g_uv oddly). On a sphere grid they are spectral (see
+    the module docstring). On a disk grid, where Brioschi's division by
+    det(g)^2 amplifies stencil truncation by 1/u^2 toward the centre, a band
+    of rings nearest the centre is evaluated with fourth-order stencils and
+    the rest with second order, so the result is uniformly second-order
+    accurate in the max norm.
     """
     g = metric.grid
+    if g.topology == SPHERE:
+        return _brioschi(metric, (_dfs_u(1), _dfs_v(1), _dfs_u(2), _dfs_v(2)))
     K = _brioschi(metric, (d_u, d_v, d_uu, d_vv))
     band = max(4, g.n_u // 4)
-    K4 = _brioschi(metric, (d_u4, d_v4, d_uu4, d_vv4))
-    K[:band] = K4[:band]
-    if g.topology == SPHERE:
-        K[-band:] = K4[-band:]
+    K[:band] = _brioschi(metric, (d_u4, d_v4, d_uu4, d_vv4))[:band]
     return K

@@ -240,14 +240,15 @@ def test_criterion_7_gauss_bonnet():
     ok = all(abs(d) < tol for d in defs64)
 
     s128, e128, _ = metrics(128)
-    ratios = [abs(defect(s64, 2.0)) / abs(defect(s128, 2.0)),
-              abs(defect(e64, 2.0)) / abs(defect(e128, 2.0))]
-    # the flat disk defect is exact to rounding, so the refinement ratio is
-    # measured on the curved surfaces
-    ok = ok and all(3.6 < r < 4.4 for r in ratios)
+    defs128 = [defect(s128, 2.0), defect(e128, 2.0)]
+    # the flat disk defect is exact to rounding, so the refinement is
+    # measured on the curved surfaces: second order or better, where the
+    # spectral Brioschi reference and Fejer's rule leave rounding alone
+    ok = ok and all(abs(fine) <= abs(coarse) / 3.6 or abs(fine) <= 1e-9
+                    for coarse, fine in zip(defs64, defs128))
     _report(7, ok, f"defects at 64x128: "
                    f"{', '.join('%.2e' % d for d in defs64)}; "
-                   f"ratios {', '.join('%.2f' % r for r in ratios)}")
+                   f"at 128x256: {', '.join('%.2e' % d for d in defs128)}")
 
 
 def test_criterion_8_index_arithmetic():

@@ -187,7 +187,6 @@ UNREAD_FIELD_EXEMPT = {
     "SurfaceGeometry.R_M": "the Gauss-equation test reads it",
     "BoundaryData.nu_chart": "tests/synthetic_fields.py recomputes W_nu",
     "BoundaryData.cos_gamma": "the free-boundary tests read it",
-    "EigenResult.backward_error": "the trace record of ROADMAP item 1",
 }
 
 

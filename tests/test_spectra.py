@@ -524,8 +524,11 @@ def test_offcentre_ls_converges_on_the_residual():
     op = operator(pg_sphere_geom(32, 1.0, (0.4, 0.0, 0.0)),
                   symmetrized_coefficients)
     res = principal_eigenvalue(op)
-    assert backward_error(op, res.lambda1, res.eigenfunction.ravel()) <= 1e-12
+    err = backward_error(op, res.lambda1, res.eigenfunction.ravel())
+    assert err <= 1e-12
     assert res.residual <= 1e-8
+    # the reported residual is that backward error, the gated quantity
+    assert res.residual == pytest.approx(err, rel=1e-6)
 
 
 def test_principal_eigenvalue_gate_raises(monkeypatch):

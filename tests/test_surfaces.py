@@ -216,8 +216,9 @@ GB_TOL = 2e-2 * np.pi
                  st.tuples(st.just("ellipsoid"),
                            st.tuples(*[st.floats(0.8, 2.0)] * 3))))
 def test_gauss_bonnet_within_bound(data_kind, m, shape):
-    # The bound is the benchmark's, set for 64x128: the Brioschi residual is
-    # second order, and at 32x64 a round sphere already sits at -5.3e-2.
+    # The bound is the benchmark's, set for 64x128. With the spectral
+    # Brioschi reference and Fejer's rule both residuals sit far below it
+    # (the worst of 600 draws read 3.3e-9).
     data = (idata.schwarzschild_isotropic(m) if data_kind == "iso"
             else idata.schwarzschild_pg(m))
     if shape[0] == "sphere":
@@ -294,6 +295,34 @@ def test_hawking_energy_values():
     disk = flat_disk_chart(make_grid(grids.DISK, 32, 64))
     with pytest.raises(TopologyError):
         hawking_energy(compute_geometry(disk, idata.minkowski_flat()))
+
+
+@pytest.mark.parametrize("m", [0.6399, 1.0, 1.7])
+def test_hawking_energy_of_centred_spheres_is_m_to_rounding(m):
+    # E_H = m exactly on every centred sphere of Schwarzschild data, and
+    # Fejer's rule integrates theta_+ theta_- on them to rounding
+    cases = [(idata.schwarzschild_isotropic(m), r) for r in (0.5, 1.5, 3.0)]
+    cases.append((idata.schwarzschild_pg(m), 3.0))
+    for data, r in cases:
+        geom = compute_geometry(sphere_chart(grid64(), r * m), data)
+        assert abs(hawking_energy(geom) - m) <= 1e-14 * m, (data.name, r)
+
+
+def test_offcentre_sphere_area_is_resolved_at_32x64():
+    # the area of an off-centre iso sphere holds its digits under doubling
+    data = idata.schwarzschild_isotropic(1.0)
+    a32, a64 = (compute_geometry(sphere_chart(make_grid(grids.SPHERE, n, 2 * n),
+                                              1.0, (0.3, 0.2, 0.1)), data).area
+                for n in (32, 64))
+    assert abs(a32 - a64) <= 1e-13 * a64
+
+
+def test_flake_ellipsoid_gauss_bonnet_to_rounding():
+    # the oblate ellipsoid (2, 2, 0.8125) in iso data, m = 1: the integral
+    # of the Gauss-equation K that ``surface`` sums is 4 pi at 64x128
+    geom = compute_geometry(ellipsoid_chart(grid64(), 2.0, 2.0, 0.8125),
+                            idata.schwarzschild_isotropic(1.0))
+    assert abs(integrate(geom.metric, geom.K) - 4.0 * np.pi) <= 1e-10
 
 
 def test_disk_boundary_data_cylinder():

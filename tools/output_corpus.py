@@ -6,12 +6,17 @@
 The first form runs every command line of ``corpus()`` in-process through
 ``motslab.cli.main``, each with its own empty ``--out`` directory, and
 writes per command line the exit code, the SHA-256 of its stdout and
-stderr and the SHA-256 of each file it wrote. ``--root`` names the checkout
+stderr, and the text of each file it wrote (the SHA-256 of
+``eigenfunction.csv``, one row per node). ``--root`` names the checkout
 whose ``src/motslab`` runs (by default the one holding this tool), so a
 record of a parent commit and one of a change come from the same corpus.
 
 The second form lists the command lines whose entries differ between two
-records, or that only one of them holds, and exits 1 if there is any.
+records, or that only one of them holds, and exits 1 if there is any. Under
+each differing line it prints every changed CSV cell as
+``file key: old → new (relative change)``, where the key is a ``key,value``
+file's key, or a table's column (prefixed by its row number when the table
+has more than one row).
 
 The corpus: the first seed-1 cycle of each benchmark workload (read from
 ``perfbench/workloads.py`` of this tool's checkout), the two determinism
@@ -28,6 +33,7 @@ strings that give a key twice.
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -39,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GRID = "32x64"
 OPERATORS = ("L", "Ls", "Hstab-N", "Hstab-lminus")
+HASHED = ("eigenfunction.csv",)   # files recorded by their SHA-256 only
 DATA = ("minkowski", "hyperboloidal", "hyperboloidal:scale=2",
         "schwarzschild-iso:m=1", "schwarzschild-pg:m=0.7")
 
@@ -129,7 +136,9 @@ def record(main, argv):
             except Exception as exc:  # noqa: BLE001 - the corpus runs on
                 code = f"raised {type(exc).__name__}"
                 traceback.print_exc()
-        files = {str(p.relative_to(tmp)): _sha(p.read_bytes())
+        files = {str(p.relative_to(tmp)): (_sha(p.read_bytes())
+                                           if p.name in HASHED
+                                           else p.read_text(encoding="utf-8"))
                  for p in sorted(Path(tmp).rglob("*")) if p.is_file()}
     return {"argv": argv, "exit": code,
             "stdout": _sha(out.getvalue().encode()),
@@ -144,13 +153,65 @@ def run_corpus(root):
             "runs": [record(cli.main, argv) for argv in corpus()]}
 
 
+def _by_line(rec):
+    return {" ".join(r["argv"]): r for r in rec["runs"]}
+
+
 def compare(first, second):
     """The argv (joined) whose entries differ or appear in one record, and
     the number of distinct command lines the two records hold."""
-    a, b = ({" ".join(r["argv"]): r for r in rec["runs"]}
-            for rec in (first, second))
-    keys = list(a) + [k for k in b if k not in a]
+    a, b = _by_line(first), _by_line(second)
+    keys = list(dict.fromkeys([*a, *b]))
     return [key for key in keys if a.get(key) != b.get(key)], len(keys)
+
+
+def _cells(text):
+    """{key: value} of a CSV text: a ``key,value`` file's rows, or a table's
+    cells keyed by column (and by row number when there is more than one
+    row)."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        return {}
+    header, body = rows[0], rows[1:]
+    if header == ["key", "value"]:
+        return {row[0]: row[1] for row in body if row}
+    return {(f"[{i}] {name}" if len(body) > 1 else name): value
+            for i, row in enumerate(body, 1)
+            for name, value in zip(header, row)}
+
+
+def _relative(old, new):
+    try:
+        old, new = float(old), float(new)
+    except (TypeError, ValueError):
+        return ""
+    if old == new or old == 0.0:
+        return ""
+    return f" ({(new - old) / abs(old):+.2e})"
+
+
+def changed_cells(old_run, new_run):
+    """``file key: old → new (relative change)`` for each CSV cell that
+    differs between two runs of one command line; the other differences
+    (exit code, stdout, stderr, hashed or missing files) by name."""
+    if old_run is None or new_run is None:
+        return ["only in " + ("B" if old_run is None else "A")]
+    lines = [f"{name} differs" for name in ("exit", "stdout", "stderr")
+             if old_run[name] != new_run[name]]
+    old_files, new_files = old_run["files"], new_run["files"]
+    for name in dict.fromkeys([*old_files, *new_files]):
+        old, new = old_files.get(name), new_files.get(name)
+        if old == new:
+            continue
+        if old is None or new is None or name in HASHED:
+            lines.append(f"{name} differs")
+            continue
+        a, b = _cells(old), _cells(new)
+        lines += [f"{name} {key}: {a.get(key)} → {b.get(key)}"
+                  f"{_relative(a.get(key), b.get(key))}"
+                  for key in dict.fromkeys([*a, *b])
+                  if a.get(key) != b.get(key)]
+    return lines
 
 
 def main(argv=None):
@@ -165,8 +226,11 @@ def main(argv=None):
         first, second = (json.loads(Path(p).read_text(encoding="utf-8"))
                          for p in args.compare)
         diff, total = compare(first, second)
+        a, b = _by_line(first), _by_line(second)
         for key in diff:
             print(f"differs: {key}")
+            for line in changed_cells(a.get(key), b.get(key)):
+                print(f"  {line}")
         print(f"{len(diff)} of {total} command lines differ")
         return 1 if diff else 0
     if not args.out:
